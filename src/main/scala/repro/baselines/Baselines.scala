@@ -169,9 +169,8 @@ object Baselines {
   private def build(q: CeqlQuery, limit: Int,
                     mk: (Cea, AtomRegistry) => StreamEngine): StreamEngine = {
     val (cea, reg) = Compiler.compile(q.pattern)
-    val f = () => mk(cea, reg)
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(f, Engines.partKeyFn(q.partitionBy))
-    else f()
+    if (q.partitionBy.nonEmpty) new PartitionedEngine(_ => mk(cea, reg), Engines.partKeyFn(q.partitionBy))
+    else mk(cea, reg)
   }
   def sase(q: CeqlQuery, limit: Int = -1): StreamEngine =
     build(q, limit, new SaseEngine(_, _, q.within, q.consume, limit))

@@ -35,6 +35,20 @@ final class Determinizer(val cea: Cea, val reg: AtomRegistry) extends Serializab
     })
 
   def isFinal(p: Int): Boolean = finals(p)
+
+  /** The sorted NFA-state set of det-state `p`: its identity across plans,
+    * unlike `p`, whose value depends on the order det-states were discovered.
+    */
+  def stateSet(p: Int): Array[Int] = states(p).clone()
+
+  /** The det-state of a sorted NFA-state set, interning it if it is new. */
+  def detState(sortedIds: Array[Int]): Int = {
+    require(sortedIds.nonEmpty && sortedIds.indices.forall(i =>
+      sortedIds(i) >= 0 && sortedIds(i) < cea.nStates && (i == 0 || sortedIds(i - 1) < sortedIds(i))),
+      s"not a sorted set of NFA states of this plan: ${sortedIds.mkString("{", ",", "}")}")
+    intern(sortedIds.clone())
+  }
+
   def numDetStates: Int = states.size
   def cacheSize: Int = cache.size
 

@@ -29,6 +29,15 @@ trait StreamEngine extends Serializable {
   * - `consume = Any`: forget all partial matches when a match fires (§6 setup).
   * - `limit`: max complex events enumerated per input event (§6 uses 10);
   *   `limit = 0` measures pure update throughput; `limit < 0` = unlimited.
+  * - `key`: the PARTITION BY key of the substream, named in errors.
+  *
+  * Input contract: each event's `idx` must be greater than the last one this
+  * run saw, or `onEvent` throws without changing the state. Only `idx` is
+  * checked, not `ts`.
+  *
+  * The run state — active-state table, tECS and window clock — is kept apart
+  * from the plan (`det`): [[snapshot]] / [[restore]] move it through the
+  * [[RunState]] codec, which Java serialization also uses for it.
   */
 final class CoreEngine(
     val det: Determinizer,
@@ -36,19 +45,23 @@ final class CoreEngine(
     strategy: Strategy = Strategy.All,
     consume: Consume = Consume.None,
     limit: Int = -1,
+    key: String = "",
 ) extends StreamEngine {
 
-  /** Active det-states → union-lists, in insertion order (ordered-keys(T)).
-    * Transient: the tECS DAG can be thousands of links deep, so default
-    * recursive Java serialization would overflow the stack — writeObject /
-    * readObject below flatten it iteratively instead.
-    */
+  /** Active det-states → union-lists, in insertion order (ordered-keys(T)). */
   @transient private var t = new java.util.LinkedHashMap[Int, UnionList]()
+  /** The window clock: `idx` of the last event, [[RunState.NoClock]] before the first. */
+  @transient private var lastIdx = RunState.NoClock
+  /** Window start of the last event: lower start values can match no later event. */
+  @transient private var horizon = Long.MinValue
   private var enumNs = 0L
 
   def enumNanos: Long = enumNs
   def activeStates: Int = t.size()
-  def reset(): Unit = { t = new java.util.LinkedHashMap[Int, UnionList](); enumNs = 0L }
+  def reset(): Unit = {
+    t = new java.util.LinkedHashMap[Int, UnionList]()
+    lastIdx = RunState.NoClock; horizon = Long.MinValue; enumNs = 0L
+  }
 
   /** Test hook: the active union-lists in insertion order. */
   def unionListsForTest: Seq[UnionList] = {
@@ -57,75 +70,43 @@ final class CoreEngine(
     b.result()
   }
 
-  // ------------------------------------------------- custom serialization
-  // The tECS is a DAG whose longest path grows with the in-window content;
-  // default Java serialization recurses per edge and overflows the stack.
-  // We flatten reachable nodes in children-first order iteratively, write
-  // them as (kind, payload, child-index) records, and rebuild on read.
+  /** Test hook: the NFA-state sets of the active det-states, in insertion order. */
+  def activeStateSetsForTest: Seq[List[Int]] = {
+    val b = Seq.newBuilder[List[Int]]
+    t.keySet().forEach(p => b += det.stateSet(p).toList)
+    b.result()
+  }
 
+  /** The run state, encoded by [[RunState]]: no part of the plan. */
+  def snapshot(): Array[Byte] = RunState.encode(det, t, lastIdx, horizon)
+
+  /** Replaces the run state with a decoded [[snapshot]], which may come from
+    * an engine whose plan numbered its det-states differently.
+    */
+  def restore(state: Array[Byte]): Unit = {
+    val (table, clock) = RunState.decode(det, state)
+    t = table; lastIdx = clock; horizon = Long.MinValue
+  }
+
+  // Java serialization: the plan by default, the run state through the codec.
   private def writeObject(out: java.io.ObjectOutputStream): Unit = {
     out.defaultWriteObject()
-    val index = new java.util.IdentityHashMap[Node, Integer]()
-    val order = new scala.collection.mutable.ArrayBuffer[Node]()
-    val stack = new scala.collection.mutable.ArrayDeque[(Node, Boolean)]()
-    val roots = new scala.collection.mutable.ArrayBuffer[(Int, Seq[Node])]()
-    t.entrySet().forEach(e => roots += ((e.getKey, e.getValue.toSeq)))
-    for ((_, ns) <- roots; n <- ns) stack.prepend((n, false))
-    while (stack.nonEmpty) {
-      val (n, expanded) = stack.removeHead()
-      if (expanded) {
-        if (!index.containsKey(n)) { index.put(n, order.size); order += n }
-      } else if (!index.containsKey(n)) {
-        stack.prepend((n, true))
-        n match {
-          case u: Union  => stack.prepend((u.left, false)); stack.prepend((u.right, false))
-          case o: Output => stack.prepend((o.next, false))
-          case _: Bottom => ()
-        }
-      }
-    }
-    out.writeInt(order.size)
-    for (n <- order) n match {
-      case b: Bottom => out.writeByte(0); out.writeLong(b.pos); out.writeLong(b.max)
-      case o: Output => out.writeByte(1); out.writeLong(o.pos); out.writeInt(index.get(o.next))
-      case u: Union  => out.writeByte(2); out.writeInt(index.get(u.left)); out.writeInt(index.get(u.right))
-    }
-    out.writeInt(roots.size)
-    for ((state, ns) <- roots) {
-      out.writeInt(state); out.writeInt(ns.size)
-      ns.foreach(n => out.writeInt(index.get(n)))
-    }
+    val state = snapshot()
+    out.writeInt(state.length); out.write(state)
   }
 
   private def readObject(in: java.io.ObjectInputStream): Unit = {
     in.defaultReadObject()
-    val nNodes = in.readInt()
-    val nodes = new Array[Node](nNodes)
-    var i = 0
-    while (i < nNodes) {
-      nodes(i) = (in.readByte(): @unchecked) match {
-        case 0 => new Bottom(in.readLong(), in.readLong())
-        case 1 => new Output(in.readLong(), nodes(in.readInt()))
-        case 2 => new Union(nodes(in.readInt()), nodes(in.readInt()))
-      }
-      i += 1
-    }
-    t = new java.util.LinkedHashMap[Int, UnionList]()
-    val nStates = in.readInt()
-    var s = 0
-    while (s < nStates) {
-      val state = in.readInt()
-      val len = in.readInt()
-      val ns = (0 until len).map(_ => nodes(in.readInt()))
-      t.put(state, UnionList.unsafeFromNodes(ns))
-      s += 1
-    }
+    val state = new Array[Byte](in.readInt())
+    in.readFully(state)
+    restore(state)
   }
 
   def onEvent(ev: Ev): List[ComplexEvent] = {
     val j = ev.idx
     val now = if (window.countBased) ev.idx else ev.ts
     val tau = now - window.epsilon
+    advance(j, tau)
     val v = det.bits(ev)
     val tNew = new java.util.LinkedHashMap[Int, UnionList]()
 
@@ -146,6 +127,15 @@ final class CoreEngine(
     t = tNew
 
     output(j, tau)
+  }
+
+  /** Moves the window clock to position `j`, window start `tau`; rejects `j`
+    * if it is not after the last position.
+    */
+  private def advance(j: Long, tau: Long): Unit = {
+    if (j <= lastIdx && lastIdx != RunState.NoClock) throw new IllegalArgumentException(
+      s"out-of-order event for key '$key': idx $j is not after the key's last idx $lastIdx")
+    lastIdx = j; horizon = tau
   }
 
   /** ExecTrans (Algorithm 1 lines 13–20). */
@@ -204,9 +194,14 @@ final class CoreEngine(
 /** Runs one engine instance per partition-by key (§5.4): the stream is hashed
   * on the PARTITION BY attributes and each substream gets its own run.
   */
-final class PartitionedEngine(mk: () => StreamEngine, keyFn: Ev => String) extends StreamEngine {
+final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) extends StreamEngine {
   private val engines = mutable.HashMap.empty[String, StreamEngine]
-  def onEvent(ev: Ev): List[ComplexEvent] = engines.getOrElseUpdate(keyFn(ev), mk()).onEvent(ev)
+  def onEvent(ev: Ev): List[ComplexEvent] = {
+    val key = keyFn(ev)
+    var e = engines.getOrElse(key, null)
+    if (e == null) { e = mk(key); engines.update(key, e) }
+    e.onEvent(ev)
+  }
   def enumNanos: Long = engines.valuesIterator.map(_.enumNanos).sum
   def numPartitions: Int = engines.size
   def reset(): Unit = engines.clear()
@@ -216,8 +211,10 @@ final class PartitionedEngine(mk: () => StreamEngine, keyFn: Ev => String) exten
 object Engines {
 
   /** Partition key: values of the PARTITION BY attributes, joined. */
-  def partKeyFn(attrs: Seq[String]): Ev => String =
-    ev => attrs.map(a => Attr.str(ev, a)).mkString("|")
+  def partKeyFn(attrs: Seq[String]): Ev => String = attrs match {
+    case Seq(a) => ev => Attr.str(ev, a)
+    case _      => ev => attrs.map(a => Attr.str(ev, a)).mkString("|")
+  }
 
   /** Build the CORE engine (with partition-by wrapper if the query has one).
     * The compiled automaton and determinization cache are shared across
@@ -230,8 +227,8 @@ object Engines {
   }
 
   def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine = {
-    val mk = () => new CoreEngine(det, q.within, q.strategy, q.consume, limit)
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(mk, partKeyFn(q.partitionBy)) else mk()
+    val mk = (key: String) => new CoreEngine(det, q.within, q.strategy, q.consume, limit, key)
+    if (q.partitionBy.nonEmpty) new PartitionedEngine(mk, partKeyFn(q.partitionBy)) else mk("")
   }
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */

@@ -52,27 +52,6 @@ object Harness {
     Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, mem)
   }
 
-  /** Memory profile per the paper's §6 setup: run separately from the
-    * throughput measurement, sample used heap every `sampleEvery` events
-    * after calling the GC, and report the average (MB).
-    */
-  def memoryProfile(engine: StreamEngine, stream: Iterator[Ev],
-                    events: Long, sampleEvery: Long = 10000): Double = {
-    var n = 0L
-    var samples = 0L
-    var totalMb = 0.0
-    while (n < events && stream.hasNext) {
-      engine.onEvent(stream.next())
-      n += 1
-      if (n % sampleEvery == 0) {
-        System.gc()
-        totalMb += (Runtime.getRuntime.totalMemory() - Runtime.getRuntime.freeMemory()) / 1e6
-        samples += 1
-      }
-    }
-    if (samples == 0) 0.0 else totalMb / samples
-  }
-
   /** Peak partial-match state, measured as the serialized engine size (KB),
     * sampled every `sampleEvery` events. At laptop scale the paper's
     * JVM-heap measurement is dominated by the preloaded stream, so this

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
-import repro.core.engine.Engines
+import repro.core.engine.{CompiledQuery, Engines}
 
 /** One recognized complex event, flattened for DataFrame output.
   * `data` is the comma-joined ascending position list.
@@ -12,8 +12,9 @@ import repro.core.engine.Engines
 final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
 
 /** Batch evaluation of a CEQL query over a Dataset of events: the PARTITION BY
-  * clause maps to `groupByKey` (one engine instance per key, §5.4) and the
-  * engine runs over each group's events in stream order.
+  * clause maps to `groupByKey` (one run per key, §5.4) and the run goes over
+  * each group's events in stream order. The plan is compiled once per task
+  * and shared by the runs of all its keys.
   */
 object CoreBatch {
 
@@ -22,9 +23,9 @@ object CoreBatch {
     import spark.implicits._
     val keyFn: Ev => String =
       if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
-    val perGroup = q.copy(partitionBy = Nil)
+    val plan = new CompiledQuery(q, limit)
     events.groupByKey(keyFn).flatMapGroups { (key: String, it: Iterator[Ev]) =>
-      val engine = Engines.core(perGroup, limit)
+      val engine = plan.engine(key)
       it.toArray.sortBy(_.idx).iterator
         .flatMap(engine.onEvent)
         .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))

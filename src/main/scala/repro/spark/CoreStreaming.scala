@@ -1,23 +1,24 @@
 package repro.spark
 
-import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
-import repro.core.engine.{Engines, StreamEngine}
+import repro.core.engine.{CompiledQuery, Engines}
 
 /** CORE as a Structured Streaming stateful operator.
   *
   * The PARTITION BY clause maps to the grouping key of
-  * `flatMapGroupsWithState`; the per-key state is the *serialized engine* —
-  * determinization cache, active-state table, and the reachable part of the
-  * tECS — so partial matches survive across micro-batches and each event is
-  * still processed once (the Algorithm-1 incremental guarantee carries over;
-  * nothing is recomputed from a buffer).
+  * `flatMapGroupsWithState`. The plan is compiled once per task and shared by
+  * every key the task runs (§5.4); the per-key state is only the key's run
+  * state — active-state table, live tECS and window clock — in the
+  * [[repro.core.engine.RunState]] codec. Partial matches thus survive across
+  * micro-batches and each event is still processed once (the Algorithm-1
+  * incremental guarantee carries over; nothing is recomputed from a buffer).
   *
-  * Events must arrive in `idx` order per key across micro-batches (CER streams
-  * are ordered; within a batch we sort by idx).
+  * Events must arrive in increasing `idx` order per key across micro-batches
+  * (CER streams are ordered; within a batch we sort by idx). An event whose
+  * `idx` is not after the key's last one fails the query.
   */
 object CoreStreaming {
 
@@ -26,31 +27,19 @@ object CoreStreaming {
     import spark.implicits._
     val keyFn: Ev => String =
       if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
-    val perGroup = q.copy(partitionBy = Nil)
+    val plan = new CompiledQuery(q, limit)
     events
       .groupByKey(keyFn)
       .flatMapGroupsWithState[Array[Byte], MatchRow](OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
-          val engine: StreamEngine =
-            state.getOption.map(deserialize).getOrElse(Engines.core(perGroup, limit))
+          val engine = plan.engine(key)
+          state.getOption.foreach(engine.restore)
           val out = it.toArray.sortBy(_.idx).iterator
             .flatMap(engine.onEvent)
             .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
             .toVector
-          state.update(serialize(engine))
+          state.update(engine.snapshot())
           out.iterator
       }
-  }
-
-  private[spark] def serialize(engine: StreamEngine): Array[Byte] = {
-    val bos = new ByteArrayOutputStream()
-    val oos = new ObjectOutputStream(bos)
-    oos.writeObject(engine); oos.close()
-    bos.toByteArray
-  }
-
-  private[spark] def deserialize(bytes: Array[Byte]): StreamEngine = {
-    val ois = new ObjectInputStream(new ByteArrayInputStream(bytes))
-    try ois.readObject().asInstanceOf[StreamEngine] finally ois.close()
   }
 }

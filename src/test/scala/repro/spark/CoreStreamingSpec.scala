@@ -4,15 +4,16 @@ import java.nio.file.Files
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import repro.SparkSpec
 import repro.core.Ev
-import repro.core.ceql.{CeqlParser, Consume}
+import repro.core.ceql.{CeqlParser, CeqlQuery, Consume}
 import repro.core.engine.{CoreEngine, Engines}
 import repro.core.TestUtil._
 import repro.gen.StreamGen
 import repro.harness.Workloads
 
 /** CORE as a Structured Streaming stateful operator (flatMapGroupsWithState):
-  * partial matches must survive micro-batch boundaries via the serialized
-  * engine state, and the result must equal the batch evaluation.
+  * partial matches must survive micro-batch boundaries via the per-key run
+  * state, and the result must equal the batch evaluation. The codec itself is
+  * tested in [[repro.core.RunStateSpec]].
   */
 class CoreStreamingSpec extends SparkSpec {
 
@@ -61,7 +62,7 @@ class CoreStreamingSpec extends SparkSpec {
 
   test("matches spanning micro-batch boundaries are found") {
     // A at the end of batch 1, B at the start of batch 2 — the partial match
-    // must live in the serialized state between batches.
+    // must live in the key's run state between batches.
     val spark0 = spark
     import spark0.implicits._
     implicit val sqlCtx = spark0.sqlContext
@@ -84,28 +85,82 @@ class CoreStreamingSpec extends SparkSpec {
 
   test("engine round-trips through java serialization mid-stream") {
     val q = query(repro.core.cel.Cel.seqOfTypes("A", "B"))
-    val e1 = Engines.core(q)
-    val evs = stream("A", "C", "A")
-    evs.foreach(e1.onEvent)
-    val e2 = CoreStreaming.deserialize(CoreStreaming.serialize(e1))
+    val e1 = Engines.core(q).asInstanceOf[CoreEngine]
+    stream("A", "C", "A").foreach(e1.onEvent)
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(e1); oos.close()
+    val e2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
+      .readObject().asInstanceOf[CoreEngine]
     val out = e2.onEvent(Ev(3, 3, "B", "NB", 30.0, 0.0))
     assert(out.map(ce => (ce.start, ce.data)).toSet ==
       Set((0L, List(0L, 3L)), (2L, List(2L, 3L))))
   }
 
   test("serialized state size stays bounded under a window") {
+    // the per-key state the operator stores is the engine's run-state snapshot
     val q = query(repro.core.cel.Cel.seqOfTypes("A", "B", "C"),
       repro.core.ceql.CountWindow(50))
-    val e = Engines.core(q)
+    val e = Engines.core(q).asInstanceOf[CoreEngine]
     val evs = (0 until 2000).map(i => Ev(i, i, if (i % 2 == 0) "A" else "B", "", 0, 0))
     var size1k = 0
     evs.zipWithIndex.foreach { case (ev, i) =>
       e.onEvent(ev)
-      if (i == 999) size1k = CoreStreaming.serialize(e).length
+      if (i == 999) size1k = e.snapshot().length
     }
-    val size2k = CoreStreaming.serialize(e).length
+    val size2k = e.snapshot().length
     // expired tECS nodes must have been dropped: state does not grow with
     // stream length, only with window content
     assert(size2k < size1k * 2, s"state grew: $size1k -> $size2k")
+  }
+
+  /** Matches of `q` over `evs` streamed in micro-batches cut at `cuts`, checkpoint in a fresh directory. */
+  private def streamSplit(name: String, q: CeqlQuery, limit: Int, evs: Seq[Ev], cuts: Seq[Int]): Seq[MatchRow] = {
+    val spark0 = spark
+    import spark0.implicits._
+    implicit val sqlCtx = spark0.sqlContext
+    val input = MemoryStream[Ev]
+    val sq = CoreStreaming.evaluate(input.toDS(), q, limit).writeStream
+      .format("memory").queryName(name).outputMode("append")
+      .option("checkpointLocation", Files.createTempDirectory("core-ckpt").toString).start()
+    try {
+      val bounds = (0 +: cuts :+ evs.size).distinct.sorted
+      for (Seq(from, until) <- bounds.sliding(2)) { input.addData(evs.slice(from, until)); sq.processAllAvailable() }
+    } finally sq.stop()
+    spark0.table(name).as[MatchRow].collect().toSeq
+  }
+
+  test("property: random micro-batch splits equal one uninterrupted run per key") {
+    val rnd = new scala.util.Random(17)
+    val types = Array("A1", "A2", "A3", "B1")
+    val evs = (0 until 300).map(i => Ev(i, 2L * i, types(rnd.nextInt(4)), s"K${rnd.nextInt(3)}", 0, 0))
+    val cases = Seq(
+      // as benchmarked: ANY consumption, limit 10, time window
+      "split_any" -> ("SELECT * FROM S WHERE A1; A2; A3 PARTITION BY [name] WITHIN 30 [stock_time] CONSUME BY ANY", 10),
+      // ALL with unlimited output over a count window
+      "split_all" -> ("SELECT * FROM S WHERE A1; A2+; A3 PARTITION BY [name] WITHIN 20 events", -1),
+      // MAX with ANY consumption
+      "split_max" -> ("SELECT MAX * FROM S WHERE A1; A2+; A3 PARTITION BY [name] WITHIN 20 events CONSUME BY ANY", 10),
+    )
+    for ((name, (text, limit)) <- cases) {
+      val q = CeqlParser.parse(text)
+      val cuts = Seq.fill(rnd.nextInt(8) + 1)(rnd.nextInt(evs.length))
+      val keyFn = Engines.partKeyFn(q.partitionBy)
+      val single = Engines.core(q, limit)
+      val expected = evs.flatMap(ev => single.onEvent(ev).map(ce =>
+        (keyFn(ev), ce.start, ce.end, ce.data.mkString(","))))
+      val got = streamSplit(name, q, limit, evs, cuts).map(m => (m.partKey, m.start, m.end, m.data))
+      assert(got.sorted == expected.sorted, s"$name with cuts ${cuts.sorted}")
+      assert(expected.nonEmpty, name)
+    }
+  }
+
+  test("a late event in a later micro-batch fails the query, naming the key and both positions") {
+    val q = CeqlParser.parse("SELECT * FROM S WHERE A1; A2 PARTITION BY [name] WITHIN 100 events")
+    val err = intercept[Exception](streamSplit("m_late", q, -1,
+      Seq(Ev(0, 0, "A1", "K", 0, 0), Ev(5, 5, "B1", "K", 0, 0), Ev(3, 3, "A2", "K", 0, 0)), Seq(2)))
+    val msgs = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).map(_.getMessage).toSeq
+    assert(msgs.exists(m => m != null && m.contains("'K'") && m.contains("idx 3") && m.contains("idx 5")),
+      msgs.mkString("\n"))
   }
 }
