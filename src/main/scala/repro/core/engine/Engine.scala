@@ -55,6 +55,11 @@ final class CoreEngine(
   /** Window start of the last event: lower start values can match no later event. */
   @transient private var horizon = Long.MinValue
   private var enumNs = 0L
+  /** Enumeration cursor, the sink that gathers MAX's candidates and the sink
+    * behind the list-returning [[onEvent]]: built on first use, then reused. */
+  @transient private lazy val cursor = new Enumerator
+  @transient private lazy val maxSink = new ListSink
+  @transient private lazy val listSink = new ListSink
 
   def enumNanos: Long = enumNs
   def activeStates: Int = t.size()
@@ -103,6 +108,14 @@ final class CoreEngine(
   }
 
   def onEvent(ev: Ev): List[ComplexEvent] = {
+    onEvent(ev, listSink)
+    listSink.result()
+  }
+
+  /** Processes `ev` and passes the complex events recognized at its position
+    * to `sink`, in enumeration order; returns their number.
+    */
+  def onEvent(ev: Ev, sink: MatchSink): Int = {
     val j = ev.idx
     val now = if (window.countBased) ev.idx else ev.ts
     val tau = now - window.epsilon
@@ -126,7 +139,7 @@ final class CoreEngine(
     }
     t = tNew
 
-    output(j, tau)
+    output(j, tau, sink)
   }
 
   /** Moves the window clock to position `j`, window start `tau`; rejects `j`
@@ -163,25 +176,31 @@ final class CoreEngine(
       tNew.put(q, ul)
   }
 
-  /** Output (Algorithm 1 lines 29–33): enumerate matches at final states. */
-  private def output(j: Long, tau: Long): List[ComplexEvent] = {
-    var found = List.empty[ComplexEvent]
+  /** Output (Algorithm 1 lines 29–33): enumerate matches at final states.
+    * Under MAX the matches are gathered, filtered, and the maximal ones
+    * passed on.
+    */
+  private def output(j: Long, tau: Long, sink: MatchSink): Int = {
+    var found = 0
     var anyFinal = false
     val it = t.entrySet().iterator()
     while (it.hasNext) {
       val e = it.next()
       if (det.isFinal(e.getKey)) {
         anyFinal = true
-        val remaining = if (limit < 0) -1 else limit - found.size
-        if (limit < 0 || remaining > 0) {
+        if (limit < 0 || found < limit) {
+          val target = if (strategy == Strategy.Max) maxSink else sink
           val t0 = System.nanoTime()
-          val n = e.getValue.merge()
-          found = found ++ Enumerator.enumerate(n, j, tau, remaining)
+          found += cursor.run(e.getValue.merge(), j, tau, if (limit < 0) -1 else limit - found, target)
           enumNs += System.nanoTime() - t0
         }
       }
     }
-    if (strategy == Strategy.Max && found.nonEmpty) found = Engines.maximalOnly(found)
+    if (strategy == Strategy.Max && found > 0) {
+      val kept = Engines.maximalOnly(maxSink.result())
+      kept.foreach(ce => sink(ce.start, ce.end, ce.data.toArray, 0))
+      found = kept.size
+    }
     // Consumption policy: forget every partial match once a complex event is
     // recognized. A final state was reached even if limit = 0 suppressed the
     // enumeration, so we key on reaching a final state, not on emitted output.
@@ -233,9 +252,10 @@ object Engines {
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */
   def maximalOnly(ms: List[ComplexEvent]): List[ComplexEvent] = {
-    val sets = ms.map(_.data.toSet)
-    ms.zipWithIndex.filter { case (_, i) =>
-      !sets.zipWithIndex.exists { case (s, k) => k != i && sets(i).subsetOf(s) && s != sets(i) }
-    }.map(_._1)
+    val sets = ms.iterator.map(_.data.toSet).toArray
+    ms.iterator.zipWithIndex.filter { case (_, i) =>
+      val s = sets(i)
+      !sets.exists(o => s.size < o.size && s.subsetOf(o))
+    }.map(_._1).toList
   }
 }

@@ -13,8 +13,8 @@ final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
 
 /** Batch evaluation of a CEQL query over a Dataset of events: the PARTITION BY
   * clause maps to `groupByKey` (one run per key, §5.4) and the run goes over
-  * each group's events in stream order. The plan is compiled once per task
-  * and shared by the runs of all its keys.
+  * each group's events in stream order, one event at a time ([[MatchRows]]).
+  * The plan is compiled once per task and shared by the runs of all its keys.
   */
 object CoreBatch {
 
@@ -25,10 +25,7 @@ object CoreBatch {
       if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
     val plan = new CompiledQuery(q, limit)
     events.groupByKey(keyFn).flatMapGroups { (key: String, it: Iterator[Ev]) =>
-      val engine = plan.engine(key)
-      it.toArray.sortBy(_.idx).iterator
-        .flatMap(engine.onEvent)
-        .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
+      new MatchRows(key, plan.engine(key), it.toArray.sortBy(_.idx).iterator)
     }
   }
 

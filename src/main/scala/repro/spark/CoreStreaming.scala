@@ -16,6 +16,10 @@ import repro.core.engine.{CompiledQuery, Engines}
   * micro-batches and each event is still processed once (the Algorithm-1
   * incremental guarantee carries over; nothing is recomputed from a buffer).
   *
+  * A key's rows are produced lazily, one event at a time ([[MatchRows]]), and
+  * the key's new state is stored when its row iterator is exhausted: Spark
+  * writes a group's state to the store only once it has consumed the rows.
+  *
   * Events must arrive in increasing `idx` order per key across micro-batches
   * (CER streams are ordered; within a batch we sort by idx). An event whose
   * `idx` is not after the key's last one fails the query.
@@ -34,12 +38,8 @@ object CoreStreaming {
         (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
           val engine = plan.engine(key)
           state.getOption.foreach(engine.restore)
-          val out = it.toArray.sortBy(_.idx).iterator
-            .flatMap(engine.onEvent)
-            .map(ce => MatchRow(key, ce.start, ce.end, ce.data.mkString(",")))
-            .toVector
-          state.update(engine.snapshot())
-          out.iterator
+          new MatchRows(key, engine, it.toArray.sortBy(_.idx).iterator,
+            () => state.update(engine.snapshot()))
       }
   }
 }

@@ -48,15 +48,6 @@ class RunStateSpec extends AnyFunSuite {
     }
   }
 
-  /** Streams over {A,B,C} whose timestamps grow by 0–3 per event. */
-  private val genTimedStream: Gen[IndexedSeq[Ev]] = for {
-    len <- Gen.choose(0, 30)
-    types <- Gen.listOfN(len, genAtomType)
-    gaps <- Gen.listOfN(len, Gen.choose(0, 3))
-  } yield types.zip(gaps.scanLeft(0L)(_ + _)).zipWithIndex.map { case ((t, ts), i) =>
-    Ev(i.toLong, ts, t, s"N$t", 10.0 * i, 0.0)
-  }.toIndexedSeq
-
   private val genConfig: Gen[(Window, Strategy, Consume, Int)] = for {
     window <- Gen.oneOf(Gen.choose(1L, 12L).map(CountWindow(_)), Gen.choose(0L, 20L).map(TimeWindow(_)))
     strategy <- Gen.oneOf(Strategy.All, Strategy.Max)
@@ -65,7 +56,7 @@ class RunStateSpec extends AnyFunSuite {
   } yield (window, strategy, consume, limit)
 
   test("property: a codec round trip at every random micro-batch cut equals one uninterrupted run") {
-    check(Prop.forAll(genCel(3), genTimedStream, genConfig, genTimedStream, Gen.listOf(Gen.choose(0, 30))) {
+    check(Prop.forAll(genCel(3), genTimedStream(30), genConfig, genTimedStream(30), Gen.listOf(Gen.choose(0, 30))) {
       case (f, evs, (window, strategy, consume, limit), warm, cuts) =>
         val q = query(f, window, strategy, consume)
         // Every other cut decodes into a fresh plan, warmed up on another stream

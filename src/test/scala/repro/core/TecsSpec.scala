@@ -193,6 +193,30 @@ class TecsSpec extends AnyFunSuite {
     assert(counter.n <= 8L * outputSize, s"visits ${counter.n} vs output $outputSize")
   }
 
+  test("enumeration equals the denotation on paths and stacks longer than the initial buffers") {
+    // Each level is a union with a short branch: 60 outputs of up to 60
+    // positions, and a stack 60 deep when the first output is reached.
+    var n: Node = Tecs.extend(bottom(0), 1)
+    for (j <- 2 to 60) n = Tecs.union(Tecs.extend(n, j), Tecs.extend(Tecs.extend(bottom(0), j - 1), j))
+    val out = Enumerator.enumerate(n, 61, Long.MinValue)
+    assert(out.map(_.data.size).max > Enumerator.InitialSize)
+    assert(out.map(ce => s"${ce.start}:${ce.data}").sorted ==
+      Tecs.denotation(n).map { case (s, d) => s"$s:${d.reverse}" }.sorted) // denotation lists newest first
+  }
+
+  test("the limit stops the walk: limit 1 costs the first output's path, not all outputs") {
+    // Each level doubles the outputs: 2^12 = 4096 complex events of 12 positions.
+    var n: Node = bottom(0)
+    for (k <- 1 to 12) n = Tecs.union(Tecs.extend(n, 2L * k), Tecs.extend(n, 2L * k + 1))
+    val all, one = new Enumerator.Counter
+    val everything = Enumerator.enumerate(n, 30, Long.MinValue, visitCounter = Some(all))
+    val List(first) = Enumerator.enumerate(n, 30, Long.MinValue, limit = 1, visitCounter = Some(one))
+    assert(everything.size == 4096 && everything.head == first)
+    assert(first.data == (1 to 12).map(2L * _).toList)
+    assert(one.n <= 3L * (first.data.size + 2), s"limit 1 visited ${one.n} nodes")
+    assert(all.n > 4096)
+  }
+
   test("engine-produced tECS is time-ordered and 3-bounded at every step") {
     import repro.core.cel._
     import repro.core.engine.Engines

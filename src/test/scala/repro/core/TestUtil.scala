@@ -62,6 +62,16 @@ object TestUtil {
     types <- Gen.listOfN(len, genAtomType)
   } yield stream(types: _*)
 
+  /** Streams of up to `maxLen` events over {A,B,C} whose timestamps grow by
+    * 0–3 per event. */
+  def genTimedStream(maxLen: Int): Gen[IndexedSeq[Ev]] = for {
+    len <- Gen.choose(0, maxLen)
+    types <- Gen.listOfN(len, genAtomType)
+    gaps <- Gen.listOfN(len, Gen.choose(0, 3))
+  } yield types.zip(gaps.scanLeft(0L)(_ + _)).zipWithIndex.map { case ((t, ts), i) =>
+    Ev(i.toLong, ts, t, s"N$t", 10.0 * i, 0.0)
+  }.toIndexedSeq
+
   val genWindow: Gen[Window] = Gen.oneOf(
     Gen.const(NoWindow), Gen.choose(1L, 12L).map(CountWindow(_)))
 }
