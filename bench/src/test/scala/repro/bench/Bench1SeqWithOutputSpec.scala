@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.gen.StreamGen
 import repro.harness.{Harness, Workloads}
 
 /** T1 (Fig 7): sequence queries A1;…;An with output, n ∈ {3,5,7,9}, window
@@ -13,25 +12,7 @@ import repro.harness.{Harness, Workloads}
 class Bench1SeqWithOutputSpec extends BenchBase {
 
   test("T1: sequence queries with output") {
-    val ns = Seq(3, 5, 7, 9)
-    val streams = ns.map(n => n -> StreamGen.randomStream(300000, Workloads.seqTypes(n))).toMap
-    // JIT warm-up on the smallest config
-    Workloads.systems(Workloads.seqQuery(3, 100)).foreach { case (_, mk) => warmup(mk, streams(3)) }
-
-    val ms = for {
-      n <- ns
-      (sys, mk) <- Workloads.systems(Workloads.seqQuery(n, 100))
-    } yield {
-      val m = run(sys, s"n=$n", mk, streams(n))
-      // Memory is measured in a separate pass, as in the paper (§6 Setup).
-      // At our scale the heap is dominated by the preloaded stream, so we
-      // report the peak *serialized engine state* instead — the partial-match
-      // storage Fig 7 (bottom-right) is about. Slow engines get fewer events
-      // so the pass stays bounded.
-      val memEvents = math.max(20000L, math.min(100000L, (m.throughput * 0.2).toLong))
-      val mem = Harness.statePeakKB(mk(), endless(streams(n)), memEvents)
-      m.copy(memMB = mem)
-    }
+    val ms = Harness.runTable(Workloads.table("T1"), 300000, Harness.budgetMs)
 
     println(Harness.table("T1 — sequence queries with output (T=100 events)",
       ms, showMem = true, showSplit = true))

@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.gen.StreamGen
 import repro.harness.{Harness, Workloads}
 
 /** T2 (Fig 8 left): A1;A2;A3 where A3 never occurs — systems accumulate
@@ -12,13 +11,7 @@ import repro.harness.{Harness, Workloads}
 class Bench2SeqNoOutputSpec extends BenchBase {
 
   test("T2: sequence query without output") {
-    val base = StreamGen.randomStream(300000, Seq("A1", "A2")) // A3 hidden
-    Workloads.systems(Workloads.seqQuery(3, 100)).foreach { case (_, mk) => warmup(mk, base) }
-
-    val ms = for {
-      t <- Seq(50L, 100L, 150L, 200L)
-      (sys, mk) <- Workloads.systems(Workloads.seqQuery(3, t))
-    } yield run(sys, s"T=$t", mk, base)
+    val ms = Harness.runTable(Workloads.table("T2"), 300000, Harness.budgetMs)
 
     println(Harness.table("T2 — sequence query without output (A3 hidden)", ms))
 

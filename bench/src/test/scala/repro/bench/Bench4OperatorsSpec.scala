@@ -1,6 +1,5 @@
 package repro.bench
 
-import repro.gen.StreamGen
 import repro.harness.{Harness, Workloads}
 
 /** T4 (Fig 9 left): iteration (K3 = A1;A2+;A3, K5) and disjunction
@@ -13,22 +12,7 @@ import repro.harness.{Harness, Workloads}
 class Bench4OperatorsSpec extends BenchBase {
 
   test("T4: iteration and disjunction") {
-    val configs = Seq(
-      ("K3", Workloads.kleeneQuery(3, 100), Workloads.kleeneTypes(3)),
-      ("K5", Workloads.kleeneQuery(5, 100), Workloads.kleeneTypes(5)),
-      ("D3", Workloads.disjQuery(3, 100), Workloads.disjTypes(3)),
-      ("D5", Workloads.disjQuery(5, 100), Workloads.disjTypes(5)),
-    )
-    val streams = configs.map { case (c, _, types) =>
-      c -> StreamGen.randomStream(300000, types)
-    }.toMap
-    Workloads.systems(configs.head._2).foreach { case (_, mk) => warmup(mk, streams("K3")) }
-
-    val ms = for {
-      (cfg, q, _) <- configs
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && cfg.startsWith("D")) // SASE lacks disjunction (§6)
-    } yield run(sys, cfg, mk, streams(cfg))
+    val ms = Harness.runTable(Workloads.table("T4"), 300000, Harness.budgetMs)
 
     println(Harness.table("T4 — iteration and disjunction (T=100)", ms))
 

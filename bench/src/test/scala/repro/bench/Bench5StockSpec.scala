@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.ceql.Consume
-import repro.gen.StreamGen
 import repro.harness.{Harness, Workloads}
 
 /** T5 (Fig 9 right): appendix-C stock queries Q1–Q7 over the synthetic stock
@@ -14,15 +12,7 @@ import repro.harness.{Harness, Workloads}
 class Bench5StockSpec extends BenchBase {
 
   test("T5: stock market queries") {
-    val base = StreamGen.stockStream(300000)
-    val qs = (1 to 7).map(i => s"Q$i" -> Workloads.stockQuery(s"Q$i").copy(consume = Consume.Any))
-    Workloads.systems(qs.head._2).foreach { case (_, mk) => warmup(mk, base) }
-
-    val ms = for {
-      (qn, q) <- qs
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && Set("Q4", "Q5", "Q6", "Q7").contains(qn)) // no disjunction in SASE
-    } yield run(sys, qn, mk, base)
+    val ms = Harness.runTable(Workloads.table("T5"), 300000, Harness.budgetMs)
 
     println(Harness.table("T5 — stock market queries (WITHIN 30s)", ms))
 

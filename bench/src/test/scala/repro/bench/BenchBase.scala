@@ -1,38 +1,15 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Ev
-import repro.core.engine.StreamEngine
-import repro.gen.StreamGen
-import repro.harness.{Harness, Measurement}
+import repro.harness.Measurement
 
-/** Shared benchmark scaffolding: JIT warm-up, effectively-infinite cycled
-  * streams (the paper pre-loads a stream larger than any system can process
-  * in the budget), and qualitative-shape helpers.
+/** Qualitative-shape helpers for the benchmark suites. Each suite measures
+  * its table of `Workloads` through `Harness.runTable`.
   *
   * Budgets default to 1 s per measurement (`BENCH_MS` env to change); the
   * paper used 30 s — shapes, not absolute numbers, are asserted.
   */
 abstract class BenchBase extends AnyFunSuite {
-
-  protected val budgetMs: Long = Harness.budgetMs
-
-  /** Endless stream cycled from a deterministic base. */
-  protected def endless(base: Array[Ev]): Iterator[Ev] =
-    StreamGen.cycled(base, Long.MaxValue / 4)
-
-  protected def warmup(mk: () => StreamEngine, base: Array[Ev]): Unit = {
-    val _ = Harness.measure("warmup", "", mk(), endless(base), budgetMs = 200)
-  }
-
-  protected def run(system: String, config: String, mk: () => StreamEngine,
-                    base: Array[Ev], mem: Boolean = false): Measurement = {
-    // Per-measurement JIT warm-up on a throwaway engine, then a clean GC, so
-    // the first configs measured are not penalized relative to later ones.
-    val _ = Harness.measure("warmup", "", mk(), endless(base), budgetMs = 150)
-    System.gc()
-    Harness.measure(system, config, mk(), endless(base), budgetMs, measureMem = mem)
-  }
 
   protected def thr(ms: Seq[Measurement], system: String, config: String): Double =
     ms.find(m => m.system == system && m.config == config).get.throughput

@@ -1,105 +1,37 @@
 package repro.jobs
 
-import repro.core.ceql.Consume
-import repro.gen.StreamGen
-import repro.harness.{Harness, Measurement, Workloads}
+import repro.harness.{Harness, Workloads}
 
-/** Shared driver for the table jobs: generates the workload's stream, runs
-  * every system, prints the markdown table. These are plain JVM mains (the
-  * engines are single-core, as in the paper §6); `StreamingDemo` is the job
-  * that exercises the Spark dataflow layer.
+/** The table jobs: each runs one table of [[Workloads.tables]] through
+  * [[Harness.runTable]] and prints it as markdown. These are plain JVM mains
+  * (the engines are single-core, as in the paper §6); `StreamingDemo` is the
+  * job that exercises the Spark dataflow layer.
   *
   * Usage: spark-submit --class repro.jobs.Table1SeqWithOutput <jar> [events] [budgetMs]
+  * where `events` is the length of each row's base stream (default 300 000),
+  * cycled for as long as a measurement runs, and `budgetMs` the time per
+  * measurement (default `BENCH_MS`, else 1000).
   */
-private[jobs] object JobUtil {
-  def args2(args: Array[String]): (Int, Long) = (
-    args.lift(0).map(_.toInt).getOrElse(2_000_000),
-    args.lift(1).map(_.toLong).getOrElse(Harness.budgetMs),
-  )
-
-  def run(title: String, configs: Seq[(String, repro.core.ceql.CeqlQuery, Seq[String])],
-          nEvents: Int, budgetMs: Long, skipSase: Set[String] = Set.empty,
-          showMem: Boolean = false, showSplit: Boolean = false): Unit = {
-    val ms = for {
-      (cfg, q, types) <- configs
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && skipSase.contains(cfg))
-    } yield {
-      val stream = StreamGen.randomStream(nEvents, types).iterator
-      Harness.measure(sys, cfg, mk(), stream, budgetMs, measureMem = showMem)
-    }
-    println(Harness.table(title, ms, showMem = showMem, showSplit = showSplit))
+sealed abstract class TableJob(id: String) {
+  def main(args: Array[String]): Unit = {
+    val t = Workloads.table(id)
+    val ms = Harness.runTable(t, args.lift(0).fold(300000)(_.toInt),
+      args.lift(1).fold(Harness.budgetMs)(_.toLong))
+    println(Harness.table(t.title, ms, showMem = t.stateAndSplit, showSplit = t.stateAndSplit))
   }
 }
 
 /** T1 (Fig 7): sequence queries with output, n ∈ {3,5,7,9}, T = 100 events. */
-object Table1SeqWithOutput {
-  def main(args: Array[String]): Unit = {
-    val (n, budget) = JobUtil.args2(args)
-    val configs = Seq(3, 5, 7, 9).map(k =>
-      (s"n=$k", Workloads.seqQuery(k, 100), Workloads.seqTypes(k)))
-    JobUtil.run("T1 — sequence queries with output (window 100 events)",
-      configs, n, budget, showMem = true, showSplit = true)
-  }
-}
+object Table1SeqWithOutput extends TableJob("T1")
 
 /** T2 (Fig 8 left): A1;A2;A3 with A3 hidden, T ∈ {50,100,150,200}. */
-object Table2SeqNoOutput {
-  def main(args: Array[String]): Unit = {
-    val (n, budget) = JobUtil.args2(args)
-    val configs = Seq(50L, 100L, 150L, 200L).map(t =>
-      (s"T=$t", Workloads.seqQuery(3, t), Seq("A1", "A2"))) // A3 never occurs
-    JobUtil.run("T2 — sequence query without output", configs, n, budget)
-  }
-}
+object Table2SeqNoOutput extends TableJob("T2")
 
 /** T3 (Fig 8 right): selection strategies, A1;A2;A3 with A3 hidden, T = 100. */
-object Table3Selection {
-  import repro.core.ceql.Strategy
-  def main(args: Array[String]): Unit = {
-    val (n, budget) = JobUtil.args2(args)
-    val base = Workloads.seqQuery(3, 100)
-    val types = Seq("A1", "A2")
-    val core = Seq(Strategy.All, Strategy.Next, Strategy.Last, Strategy.Max).map { s =>
-      Harness.measure(s"CORE-$s", "T=100",
-        repro.core.engine.Engines.core(base.copy(strategy = s), 10),
-        StreamGen.randomStream(n, types).iterator, budget)
-    }
-    val others = Workloads.systems(base).drop(1).map { case (sys, mk) =>
-      Harness.measure(s"$sys-default", "T=100", mk(),
-        StreamGen.randomStream(n, types).iterator, budget)
-    }
-    println(Harness.table("T3 — selection strategies (no output)", core ++ others))
-  }
-}
+object Table3Selection extends TableJob("T3")
 
 /** T4 (Fig 9 left): iteration (K3, K5) and disjunction (D3, D5), T = 100. */
-object Table4Operators {
-  def main(args: Array[String]): Unit = {
-    val (n, budget) = JobUtil.args2(args)
-    val configs = Seq(
-      ("K3", Workloads.kleeneQuery(3, 100), Workloads.kleeneTypes(3)),
-      ("K5", Workloads.kleeneQuery(5, 100), Workloads.kleeneTypes(5)),
-      ("D3", Workloads.disjQuery(3, 100), Workloads.disjTypes(3)),
-      ("D5", Workloads.disjQuery(5, 100), Workloads.disjTypes(5)),
-    )
-    // SASE does not support disjunction (§6) — skip D3/D5 for it.
-    JobUtil.run("T4 — iteration and disjunction (window 100 events)",
-      configs, n, budget, skipSase = Set("D3", "D5"))
-  }
-}
+object Table4Operators extends TableJob("T4")
 
 /** T5 (Fig 9 right): stock-market queries Q1–Q7 (SASE only Q1–Q3, §6). */
-object Table5Stock {
-  def main(args: Array[String]): Unit = {
-    val (n, budget) = JobUtil.args2(args)
-    val stock = StreamGen.stockStream(n)
-    val ms = for {
-      qn <- (1 to 7).map(i => s"Q$i")
-      q = Workloads.stockQuery(qn).copy(consume = Consume.Any)
-      (sys, mk) <- Workloads.systems(q)
-      if !(sys == "SASE" && Set("Q4", "Q5", "Q6", "Q7").contains(qn))
-    } yield Harness.measure(sys, qn, mk(), stock.iterator, budget)
-    println(Harness.table("T5 — stock market queries", ms))
-  }
-}
+object Table5Stock extends TableJob("T5")

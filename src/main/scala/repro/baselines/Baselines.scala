@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.core.{ComplexEvent, Ev}
-import repro.core.cea.{Cea, Compiler}
+import repro.core.cea.{Cea, CTrans, Compiler}
 import repro.core.ceql.{CeqlQuery, Consume, Window}
 import repro.core.engine.{Engines, PartitionedEngine, StreamEngine}
 import repro.core.pred.AtomRegistry
@@ -28,7 +28,11 @@ private[baselines] object Runs {
   /** A partial match: current NFA state is implicit in the bucket/owner;
     * `marks` is a shared-tail cons list, newest first.
     */
-  final case class Run(state: Int, startIdx: Long, startVal: Long, marks: List[Long])
+  final case class Run(state: Int, startIdx: Long, startVal: Long, marks: List[Long]) {
+    /** The run after taking `tr` at position `j`; a marking transition adds `j`. */
+    def step(tr: CTrans, j: Long): Run =
+      if (tr.mark) copy(state = tr.to, marks = j :: marks) else copy(state = tr.to)
+  }
 }
 
 private[baselines] abstract class NfaBase(
@@ -40,7 +44,6 @@ private[baselines] abstract class NfaBase(
   protected var enumNs = 0L
   def enumNanos: Long = enumNs
   def numRuns: Int = runs.size
-  def reset(): Unit = { runs.clear(); enumNs = 0L }
 
   protected def nowVal(ev: Ev): Long = if (window.countBased) ev.idx else ev.ts
 
@@ -68,9 +71,7 @@ private[baselines] abstract class NfaBase(
 
   private def advance(r: Run, bits: scala.collection.immutable.BitSet, j: Long): Iterator[Run] = {
     val trs = cea.bySource(r.state)
-    trs.iterator.filter(_.pred.eval(bits)).map { tr =>
-      if (tr.mark) r.copy(state = tr.to, marks = j :: r.marks) else r.copy(state = tr.to)
-    }
+    trs.iterator.filter(_.pred.eval(bits)).map(r.step(_, j))
   }
 
   private def emit(j: Long, tau: Long): List[ComplexEvent] = {
@@ -112,7 +113,6 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
   private var enumNs = 0L
   def enumNanos: Long = enumNs
   def numRuns: Int = buckets.valuesIterator.map(_.size).sum
-  def reset(): Unit = { buckets = mutable.LinkedHashMap.empty; enumNs = 0L }
 
   def onEvent(ev: Ev): List[ComplexEvent] = {
     val j = ev.idx
@@ -125,14 +125,12 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
       b ++= rs
     }
     // fresh run at this position
-    for (tr <- cea.bySource(cea.q0) if tr.pred.eval(bits)) {
-      val r0 = Run(tr.to, j, now, if (tr.mark) List(j) else Nil)
-      put(tr.to, Iterator.single(r0))
-    }
+    val fresh = Run(cea.q0, j, now, Nil)
+    for (tr <- cea.bySource(cea.q0) if tr.pred.eval(bits))
+      put(tr.to, Iterator.single(fresh.step(tr, j)))
     for ((state, b) <- buckets; tr <- cea.bySource(state) if tr.pred.eval(bits)) {
       val survivors = b.iterator.filter(_.startVal >= tau)
-      put(tr.to, survivors.map(r =>
-        if (tr.mark) r.copy(state = tr.to, marks = j :: r.marks) else r.copy(state = tr.to)))
+      put(tr.to, survivors.map(_.step(tr, j)))
     }
     buckets = next
     // emit from final-state buckets

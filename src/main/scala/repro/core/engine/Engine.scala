@@ -16,7 +16,6 @@ trait StreamEngine extends Serializable {
   /** Cumulative nanoseconds spent enumerating outputs (for the Fig-7 split
     * into update vs enumeration throughput). */
   def enumNanos: Long
-  def reset(): Unit
 }
 
 /** CORE's evaluation algorithm (Algorithm 1, §5.3) over an I/O-determinized
@@ -63,10 +62,6 @@ final class CoreEngine(
 
   def enumNanos: Long = enumNs
   def activeStates: Int = t.size()
-  def reset(): Unit = {
-    t = new java.util.LinkedHashMap[Int, UnionList]()
-    lastIdx = RunState.NoClock; horizon = Long.MinValue; enumNs = 0L
-  }
 
   /** Test hook: the active union-lists in insertion order. */
   def unionListsForTest: Seq[UnionList] = {
@@ -222,8 +217,6 @@ final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) e
     e.onEvent(ev)
   }
   def enumNanos: Long = engines.valuesIterator.map(_.enumNanos).sum
-  def numPartitions: Int = engines.size
-  def reset(): Unit = engines.clear()
 }
 
 /** Engine factories. */

@@ -2,11 +2,15 @@ package repro.harness
 
 import repro.core.Ev
 import repro.core.engine.StreamEngine
+import repro.gen.StreamGen
+import repro.harness.Workloads.Table
 
 /** One benchmark measurement (≈ one bar of the paper's Figures 7–9).
   *
   * Throughputs in events/s; `updateThroughput` excludes enumeration time and
   * `enumThroughput` is outputs per enumeration-second (the Fig-7 split).
+  * `stateKB` is the peak partial-match state ([[Harness.statePeakKB]]), 0 when
+  * not measured.
   */
 final case class Measurement(
     system: String,
@@ -15,7 +19,7 @@ final case class Measurement(
     matches: Long,
     seconds: Double,
     enumSeconds: Double,
-    memMB: Double,
+    stateKB: Double,
 ) {
   def throughput: Double = events / seconds
   def updateThroughput: Double = events / math.max(1e-9, seconds - enumSeconds)
@@ -32,8 +36,7 @@ object Harness {
   val budgetMs: Long = sys.env.getOrElse("BENCH_MS", "1000").toLong
 
   def measure(system: String, config: String, engine: StreamEngine,
-              stream: Iterator[Ev], budgetMs: Long = budgetMs,
-              measureMem: Boolean = false): Measurement = {
+              stream: Iterator[Ev], budgetMs: Long = budgetMs): Measurement = {
     var events = 0L
     var matches = 0L
     val t0 = System.nanoTime()
@@ -45,11 +48,42 @@ object Harness {
       if ((events & 255) == 0 && System.nanoTime() > deadline) continue = false
     }
     val seconds = (System.nanoTime() - t0) / 1e9
-    val mem =
-      if (measureMem) { System.gc(); Thread.sleep(50)
-        (Runtime.getRuntime.totalMemory() - Runtime.getRuntime.freeMemory()) / 1e6 }
-      else 0.0
-    Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, mem)
+    Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, 0.0)
+  }
+
+  /** Measures every system of every row of `t` for `budgetMs` each, on an
+    * endless cycle of the row's base stream of `events` events (the paper
+    * pre-loads a stream larger than any system can process in the budget).
+    * A table with `stateAndSplit` also gets each system's [[statePeakKB]].
+    */
+  def runTable(t: Table, events: Int, budgetMs: Long): Seq[Measurement] = {
+    val first = t.rows.head
+    val firstBase = first.stream(events)
+    // JIT warm-up on the first configuration, before anything is measured.
+    first.systems.foreach { case (_, mk) => warmup(mk, firstBase, 200) }
+    t.rows.flatMap { row =>
+      val base = row.stream(events)
+      row.systems.map { case (sys, mk) =>
+        // Per-measurement JIT warm-up on a throwaway engine, then a clean GC, so
+        // the first configs measured are not penalized relative to later ones.
+        warmup(mk, base, 150)
+        System.gc()
+        val m = measure(sys, row.config, mk(), endless(base), budgetMs)
+        if (!t.stateAndSplit) m
+        else {
+          // Memory is measured in a separate pass, as in the paper (§6 Setup).
+          // Slow engines get fewer events so the pass stays bounded.
+          val stateEvents = math.max(20000L, math.min(100000L, (m.throughput * 0.2).toLong))
+          m.copy(stateKB = statePeakKB(mk(), endless(base), stateEvents))
+        }
+      }
+    }
+  }
+
+  private def endless(base: Array[Ev]): Iterator[Ev] = StreamGen.cycled(base, Long.MaxValue / 4)
+
+  private def warmup(mk: () => StreamEngine, base: Array[Ev], ms: Long): Unit = {
+    val _ = measure("warmup", "", mk(), endless(base), ms)
   }
 
   /** Peak partial-match state, measured as the serialized engine size (KB),
@@ -88,7 +122,7 @@ object Harness {
     for (m <- ms) {
       val row = Seq(m.system, m.config, m.events.toString, m.matches.toString, f"${m.throughput}%.0f") ++
         (if (showSplit) Seq(f"${m.updateThroughput}%.0f", f"${m.enumThroughput}%.0f") else Nil) ++
-        (if (showMem) Seq(f"${m.memMB}%.1f") else Nil)
+        (if (showMem) Seq(f"${m.stateKB}%.1f") else Nil)
       sb ++= row.mkString("| ", " | ", " |\n")
     }
     sb.toString

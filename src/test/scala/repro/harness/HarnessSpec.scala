@@ -5,7 +5,7 @@ import repro.core.engine.Engines
 import repro.gen.StreamGen
 
 /** The measurement harness itself: budget handling, stream exhaustion,
-  * derived throughputs, table rendering.
+  * derived throughputs, table rendering; and the table catalog it runs.
   */
 class HarnessSpec extends AnyFunSuite {
 
@@ -27,7 +27,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("throughput fields are consistent") {
     val m = Measurement("s", "c", events = 1000, matches = 10, seconds = 2.0,
-      enumSeconds = 0.5, memMB = 0)
+      enumSeconds = 0.5, stateKB = 0)
     assert(m.throughput == 500.0)
     assert(math.abs(m.updateThroughput - 1000 / 1.5) < 1e-9)
     assert(m.enumThroughput == 20.0)
@@ -50,5 +50,29 @@ class HarnessSpec extends AnyFunSuite {
   test("matches are counted") {
     val m = Harness.measure("core", "t", Engines.core(q, 10), evs.iterator, budgetMs = 2000)
     assert(m.matches > 0) // A1;A2;A3 fires on this stream
+  }
+
+  test("the catalog holds T1–T5 with the paper's configs; SASE sits out disjunction only") {
+    assert(Workloads.tables.map(_.id) == Seq("T1", "T2", "T3", "T4", "T5"))
+    def configs(id: String) = Workloads.table(id).rows.map(_.config)
+    assert(configs("T1") == Seq("n=3", "n=5", "n=7", "n=9"))
+    assert(configs("T2") == Seq("T=50", "T=100", "T=150", "T=200"))
+    assert(configs("T3") == Seq("T=100"))
+    assert(configs("T4") == Seq("K3", "K5", "D3", "D5"))
+    assert(configs("T5") == (1 to 7).map(i => s"Q$i"))
+    assert(Workloads.table("T3").rows.head.systems.map(_._1) == Seq("CORE-All", "CORE-Next",
+      "CORE-Last", "CORE-Max", "SASE-default", "Esper-default", "FlinkCEP-default"))
+    val withoutSase = for {
+      t <- Workloads.tables
+      r <- t.rows if !r.systems.exists(_._1.startsWith("SASE"))
+    } yield r.config
+    assert(withoutSase == Seq("D3", "D5", "Q4", "Q5", "Q6", "Q7"))
+  }
+
+  test("T1's state column is partial-match state: baselines hold > 10x CORE's at n=7") {
+    val ms = Harness.runTable(Workloads.table("T1"), 20000, 60)
+    val at7 = ms.filter(_.config == "n=7").map(m => m.system -> m.stateKB).toMap
+    for (sys <- Seq("SASE", "Esper", "FlinkCEP"))
+      assert(at7(sys) > 10 * at7("CORE"), at7.toString)
   }
 }
