@@ -5,9 +5,10 @@ import repro.core.ceql.Consume
 import repro.harness.Workloads
 import repro.spark.{CoreBatch, SparkStreams}
 
-/** Runs the partition-by stock query Q3 through the Spark dataflow layer
-  * (CoreBatch: groupByKey + per-key CORE engine) over a distributed synthetic
-  * stock stream, and prints the recognized complex events.
+/** Runs the stock queries Q1 (one ordered scan) and Q3 (PARTITION BY:
+  * groupByKey + per-key CORE engine) through the Spark dataflow layer
+  * (CoreBatch) over a distributed synthetic stock stream, and prints the
+  * recognized complex events.
   *
   * Usage: spark-submit --class repro.jobs.StreamingDemo <jar> [events]
   */

@@ -86,8 +86,10 @@ object Compiler {
         val q = b.fresh()
         val intoHub  = t.filter(tr => fl.contains(tr.to)).map(_.copy(to = q))
         val outOfHub = t.filter(tr => i.contains(tr.from)).map(_.copy(from = q))
+        // An iteration of a single event takes the hub back to itself.
+        val hubLoop  = t.filter(tr => i.contains(tr.from) && fl.contains(tr.to)).map(_.copy(from = q, to = q))
         val hubSkip  = Vector(VTrans(q, PTrue, Set.empty, q))
-        (t ++ intoHub ++ outOfHub ++ hubSkip, i, fl)
+        (t ++ intoHub ++ outOfHub ++ hubLoop ++ hubSkip, i, fl)
 
       case CProj(inner, keep) =>
         val (t, i, fl) = go(inner)

@@ -11,22 +11,34 @@ import repro.core.engine.{CompiledQuery, Engines}
   */
 final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
 
-/** Batch evaluation of a CEQL query over a Dataset of events: the PARTITION BY
-  * clause maps to `groupByKey` (one run per key, §5.4) and the run goes over
-  * each group's events in stream order, one event at a time ([[MatchRows]]).
-  * The plan is compiled once per task and shared by the runs of all its keys.
+/** Batch evaluation of a CEQL query over a Dataset of events, one run per
+  * PARTITION BY key (§5.4), each going over its key's events in stream order,
+  * one event at a time ([[MatchRows]]). The plan is compiled once per task and
+  * shared by the runs of all its keys.
+  *
+  *  - A query without PARTITION BY is a single run over the whole stream, so
+  *    it is one ordered scan: `coalesce(1)`, `sortWithinPartitions("idx")` and
+  *    one engine streaming through the sorted partition. Nothing is shuffled,
+  *    no grouping key is built and the stream is never held in an array.
+  *    `coalesce(1)` is narrow, so the narrow work upstream of the query (its
+  *    scan, projections, filters) also runs in that one task.
+  *  - A partitioned query goes through `groupByKey` on the key; each key's
+  *    events are sorted by `idx` before its run.
   */
 object CoreBatch {
 
   def evaluate(events: Dataset[Ev], q: CeqlQuery, limit: Int = -1): Dataset[MatchRow] = {
     val spark = events.sparkSession
     import spark.implicits._
-    val keyFn: Ev => String =
-      if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
     val plan = new CompiledQuery(q, limit)
-    events.groupByKey(keyFn).flatMapGroups { (key: String, it: Iterator[Ev]) =>
-      new MatchRows(key, plan.engine(key), it.toArray.sortBy(_.idx).iterator)
-    }
+    if (q.partitionBy.isEmpty)
+      events.coalesce(1).sortWithinPartitions("idx").mapPartitions { it =>
+        new MatchRows("", plan.engine(""), it)
+      }
+    else
+      events.groupByKey(Engines.partKeyFn(q.partitionBy)).flatMapGroups { (key: String, it: Iterator[Ev]) =>
+        new MatchRows(key, plan.engine(key), it.toArray.sortBy(_.idx).iterator)
+      }
   }
 
   /** Expand `data` ("p1,p2,...,pn") into long columns p1..pn — the shape the

@@ -3,7 +3,7 @@ package repro.spark
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 import repro.core.Ev
-import repro.core.ceql.CeqlQuery
+import repro.core.ceql.{CeqlQuery, NoWindow}
 import repro.core.engine.{CompiledQuery, Engines}
 
 /** CORE as a Structured Streaming stateful operator.
@@ -23,10 +23,16 @@ import repro.core.engine.{CompiledQuery, Engines}
   * Events must arrive in increasing `idx` order per key across micro-batches
   * (CER streams are ordered; within a batch we sort by idx). An event whose
   * `idx` is not after the key's last one fails the query.
+  *
+  * The query must have a WITHIN clause: without one no partial match ever
+  * expires, so a key's run state would grow without bound.
   */
 object CoreStreaming {
 
   def evaluate(events: Dataset[Ev], q: CeqlQuery, limit: Int = -1): Dataset[MatchRow] = {
+    require(q.within != NoWindow,
+      "a streaming query needs a WITHIN clause: without a window no partial match expires, " +
+      "so each key's run state would grow without bound")
     val spark = events.sparkSession
     import spark.implicits._
     val keyFn: Ev => String =

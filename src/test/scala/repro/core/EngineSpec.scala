@@ -84,6 +84,26 @@ class EngineSpec extends AnyFunSuite {
       ComplexEvent(0, 2, List(0, 1, 2))))
   }
 
+  test("kleene plus binds any non-empty subset, three iterations included") {
+    val q = query(Cel.seq(CAtom("A"), CPlus(CAtom("B"))))
+    val evs = stream("A", "B", "B", "B")
+    // (0, S) for every non-empty S ⊆ {1,2,3}: 2^3 - 1 = 7 matches
+    val expected = (1 to 3).flatMap(n => (1L to 3L).combinations(n))
+      .map(s => ComplexEvent(0, s.last, 0L :: s.toList)).toSet
+    assert(expected.size == 7)
+    assert(coreMatches(q, evs) == expected)
+  }
+
+  test("kleene plus between two atoms binds every non-empty subset of four Bs") {
+    val q = query(Cel.seq(CAtom("A"), CPlus(CAtom("B")), CAtom("C")))
+    val evs = stream("A", "B", "B", "B", "B", "C")
+    // (0, S, 5) for every non-empty S ⊆ {1,2,3,4}: 2^4 - 1 = 15 matches
+    val expected = (1 to 4).flatMap(n => (1L to 4L).combinations(n))
+      .map(s => ComplexEvent(0, 5, 0L :: s.toList ::: List(5L))).toSet
+    assert(expected.size == 15)
+    assert(coreMatches(q, evs) == expected)
+  }
+
   test("kleene plus requires at least one occurrence") {
     val q = query(Cel.seq(CAtom("A"), CPlus(CAtom("B")), CAtom("C")))
     val evs = stream("A", "C")

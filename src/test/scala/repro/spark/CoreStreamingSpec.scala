@@ -163,4 +163,13 @@ class CoreStreamingSpec extends SparkSpec {
     assert(msgs.exists(m => m != null && m.contains("'K'") && m.contains("idx 3") && m.contains("idx 5")),
       msgs.mkString("\n"))
   }
+
+  test("a query without WITHIN is rejected before any plan is built") {
+    val spark0 = spark
+    import spark0.implicits._
+    implicit val sqlCtx = spark0.sqlContext
+    val q = CeqlParser.parse("SELECT * FROM S WHERE A1; A2 PARTITION BY [name]")
+    val err = intercept[IllegalArgumentException](CoreStreaming.evaluate(MemoryStream[Ev].toDS(), q))
+    assert(err.getMessage.contains("WITHIN") && err.getMessage.contains("grow without bound"), err.getMessage)
+  }
 }
