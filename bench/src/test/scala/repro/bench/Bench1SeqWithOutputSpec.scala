@@ -12,10 +12,10 @@ import repro.harness.{Harness, Workloads}
 class Bench1SeqWithOutputSpec extends BenchBase {
 
   test("T1: sequence queries with output") {
-    val ms = Harness.runTable(Workloads.table("T1"), 300000, Harness.budgetMs)
+    val table = Workloads.table("T1")
+    val ms = Harness.runTable(table, 300000, Harness.budgetMs)
 
-    println(Harness.table("T1 — sequence queries with output (T=100 events)",
-      ms, showMem = true, showSplit = true))
+    println(Harness.table(table, ms))
 
     // Qualitative claims (generous bounds; see EXPERIMENTS.md for numbers):
     // (1) CORE is stable in n — no exponential cliff.

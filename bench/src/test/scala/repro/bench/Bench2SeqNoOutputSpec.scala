@@ -11,9 +11,10 @@ import repro.harness.{Harness, Workloads}
 class Bench2SeqNoOutputSpec extends BenchBase {
 
   test("T2: sequence query without output") {
-    val ms = Harness.runTable(Workloads.table("T2"), 300000, Harness.budgetMs)
+    val table = Workloads.table("T2")
+    val ms = Harness.runTable(table, 300000, Harness.budgetMs)
 
-    println(Harness.table("T2 — sequence query without output (A3 hidden)", ms))
+    println(Harness.table(table, ms))
 
     // (1) CORE is flat in the window size.
     assert(spread(ms, "CORE") < 4.0, s"CORE not flat: ${spread(ms, "CORE")}")

@@ -11,10 +11,11 @@ import repro.harness.{Harness, Workloads}
 class Bench3SelectionSpec extends BenchBase {
 
   test("T3: selection strategies (no output)") {
-    val ms = Harness.runTable(Workloads.table("T3"), 300000, Harness.budgetMs)
+    val table = Workloads.table("T3")
+    val ms = Harness.runTable(table, 300000, Harness.budgetMs)
     val (core, others) = ms.partition(_.system.startsWith("CORE-"))
 
-    println(Harness.table("T3 — selection strategies (A3 hidden, T=100)", ms))
+    println(Harness.table(table, ms))
 
     // (1) CORE's throughput is strategy-independent (same algorithm, §6).
     val coreThr = core.map(_.throughput)

@@ -12,9 +12,10 @@ import repro.harness.{Harness, Workloads}
 class Bench4OperatorsSpec extends BenchBase {
 
   test("T4: iteration and disjunction") {
-    val ms = Harness.runTable(Workloads.table("T4"), 300000, Harness.budgetMs)
+    val table = Workloads.table("T4")
+    val ms = Harness.runTable(table, 300000, Harness.budgetMs)
 
-    println(Harness.table("T4 — iteration and disjunction (T=100)", ms))
+    println(Harness.table(table, ms))
 
     // (1) CORE is stable across operators.
     assert(spread(ms, "CORE") < 10.0, s"CORE not stable: ${spread(ms, "CORE")}")

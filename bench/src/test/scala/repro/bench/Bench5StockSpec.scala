@@ -12,9 +12,10 @@ import repro.harness.{Harness, Workloads}
 class Bench5StockSpec extends BenchBase {
 
   test("T5: stock market queries") {
-    val ms = Harness.runTable(Workloads.table("T5"), 300000, Harness.budgetMs)
+    val table = Workloads.table("T5")
+    val ms = Harness.runTable(table, 300000, Harness.budgetMs)
 
-    println(Harness.table("T5 — stock market queries (WITHIN 30s)", ms))
+    println(Harness.table(table, ms))
 
     // (1) CORE is stable across all seven queries.
     assert(spread(ms, "CORE") < 20.0, s"CORE not stable: ${spread(ms, "CORE")}")

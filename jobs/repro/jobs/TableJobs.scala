@@ -17,7 +17,7 @@ sealed abstract class TableJob(id: String) {
     val t = Workloads.table(id)
     val ms = Harness.runTable(t, args.lift(0).fold(300000)(_.toInt),
       args.lift(1).fold(Harness.budgetMs)(_.toLong))
-    println(Harness.table(t.title, ms, showMem = t.stateAndSplit, showSplit = t.stateAndSplit))
+    println(Harness.table(t, ms))
   }
 }
 

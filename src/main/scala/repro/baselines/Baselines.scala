@@ -45,14 +45,12 @@ private[baselines] abstract class NfaBase(
   def enumNanos: Long = enumNs
   def numRuns: Int = runs.size
 
-  protected def nowVal(ev: Ev): Long = if (window.countBased) ev.idx else ev.ts
-
   /** Whether to prune expired runs on this event (subclasses differ). */
   protected def shouldPrune(j: Long): Boolean
 
   def onEvent(ev: Ev): List[ComplexEvent] = {
     val j = ev.idx
-    val now = nowVal(ev)
+    val now = window.clock(ev)
     val tau = now - window.epsilon
     val bits = reg.bits(ev)
     val next = mutable.ArrayBuffer.empty[Run]
@@ -116,7 +114,7 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
 
   def onEvent(ev: Ev): List[ComplexEvent] = {
     val j = ev.idx
-    val now = if (window.countBased) ev.idx else ev.ts
+    val now = window.clock(ev)
     val tau = now - window.epsilon
     val bits = reg.bits(ev)
     val next = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
@@ -149,17 +147,21 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
 
 /** FlinkCEP-like: shared-buffer NFA — runs share suffixes through predecessor
   * pointers (the cons lists) and expired runs are only dropped on
-  * watermark-style boundaries (every `pruneEvery` events), so the live run set
-  * is larger than SASE's between boundaries.
+  * watermark-style boundaries (every 64 events), so the live run set is larger
+  * than SASE's between boundaries.
   */
 final class FlinkCepEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                           consume: Consume, limit: Int, pruneEvery: Int = 64)
+                           consume: Consume, limit: Int)
     extends NfaBase(cea, reg, window, consume, limit) {
   private var sinceLastPrune = 0
   protected def shouldPrune(j: Long): Boolean = {
     sinceLastPrune += 1
-    if (sinceLastPrune >= pruneEvery) { sinceLastPrune = 0; true } else false
+    if (sinceLastPrune >= FlinkCepEngine.PruneEvery) { sinceLastPrune = 0; true } else false
   }
+}
+
+object FlinkCepEngine {
+  private final val PruneEvery = 64
 }
 
 /** Factories mirroring [[repro.core.engine.Engines.core]]. */

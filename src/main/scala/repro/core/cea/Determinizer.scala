@@ -15,7 +15,7 @@ import scala.collection.mutable
   * worst-case exponential subset construction is only paid for subsets that
   * actually occur on the stream.
   */
-final class Determinizer(val cea: Cea, val reg: AtomRegistry) extends Serializable {
+final class Determinizer(val cea: Cea, val reg: AtomRegistry) {
 
   /** Interned det-states: sorted NFA-state id vectors. */
   private val states  = mutable.ArrayBuffer.empty[Array[Int]]

@@ -1,5 +1,6 @@
 package repro.core.ceql
 
+import repro.core.Ev
 import repro.core.cel.{Cel, CProj}
 
 /** Selection strategies (§2, §6 "Selection strategies"). */
@@ -28,6 +29,8 @@ sealed trait Window extends Serializable {
   /** The window bound ε in the engine's start-value units. */
   def epsilon: Long
   def countBased: Boolean
+  /** The window clock at `ev`: its position under a count window, its timestamp under a time window. */
+  def clock(ev: Ev): Long = if (countBased) ev.idx else ev.ts
 }
 final case class CountWindow(epsilon: Long) extends Window { val countBased = true }
 final case class TimeWindow(epsilon: Long) extends Window { val countBased = false }

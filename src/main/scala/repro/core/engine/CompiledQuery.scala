@@ -5,18 +5,29 @@ import repro.core.ceql.CeqlQuery
 
 /** The plan of a query — CEA, atom registry and determinizer — compiled once
   * and shared by the runs of every PARTITION BY key, as in the paper (§5.4).
+  * It is the only place a query is compiled and the only factory of
+  * [[CoreEngine]] runs.
   *
-  * The determinizer is built on first use and never serialized, so each
-  * deserialized copy (in Spark, each task) compiles the query once. It is
-  * mutable and unsynchronized: a copy must not be used by two threads.
+  * Its Java form is the query and the output limit. The determinizer is built
+  * on first use in each copy and never serialized, so each deserialized copy
+  * (in Spark, each task) compiles the query once. `prebuilt` hands in a
+  * determinizer already compiled from `query`, so that its caller can time the
+  * compilation or step the determinizer itself. The determinizer is mutable
+  * and unsynchronized: a copy must not be used by two threads.
   */
-final class CompiledQuery(q: CeqlQuery, limit: Int) extends Serializable {
+final class CompiledQuery(val query: CeqlQuery, val limit: Int, prebuilt: Option[Determinizer] = None)
+    extends Serializable {
 
-  @transient lazy val det: Determinizer = {
-    val (cea, reg) = Compiler.compile(q.pattern)
-    new Determinizer(cea, reg)
+  @transient private var built: Determinizer = prebuilt.orNull
+
+  def det: Determinizer = {
+    if (built == null) {
+      val (cea, reg) = Compiler.compile(query.pattern)
+      built = new Determinizer(cea, reg)
+    }
+    built
   }
 
   /** A fresh run of the substream of `key`; PARTITION BY is not applied. */
-  def engine(key: String): CoreEngine = new CoreEngine(det, q.within, q.strategy, q.consume, limit, key)
+  def engine(key: String): CoreEngine = new CoreEngine(this, key)
 }

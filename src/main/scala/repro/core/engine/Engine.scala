@@ -1,7 +1,7 @@
 package repro.core.engine
 
 import repro.core.{ComplexEvent, Ev}
-import repro.core.cea.{Compiler, Determinizer}
+import repro.core.cea.Determinizer
 import repro.core.ceql._
 import repro.core.pred.Attr
 import repro.core.tecs._
@@ -19,33 +19,38 @@ trait StreamEngine extends Serializable {
 }
 
 /** CORE's evaluation algorithm (Algorithm 1, §5.3) over an I/O-determinized
-  * CEA, maintaining a tECS and an insertion-ordered table of active states.
+  * CEA, maintaining a tECS and an insertion-ordered table of active states:
+  * the run of one substream under the shared `plan` ([[CompiledQuery.engine]]
+  * builds it).
   *
-  * - `window` gives ε and whether start values are positions or timestamps.
-  * - `strategy`: ALL is the paper's algorithm; NEXT/LAST retain a single run
+  * The plan's query gives the rest of the configuration:
+  * - its window gives ε and whether start values are positions or timestamps;
+  * - strategy: ALL is the paper's algorithm; NEXT/LAST retain a single run
   *   per active state (earliest-/latest-start); MAX adds a maximality filter
-  *   at enumeration (see DESIGN.md §3).
-  * - `consume = Any`: forget all partial matches when a match fires (§6 setup).
-  * - `limit`: max complex events enumerated per input event (§6 uses 10);
-  *   `limit = 0` measures pure update throughput; `limit < 0` = unlimited.
-  * - `key`: the PARTITION BY key of the substream, named in errors.
+  *   at enumeration (see DESIGN.md §3);
+  * - `CONSUME BY ANY`: forget all partial matches when a match fires (§6 setup).
+  *
+  * The plan's `limit` is the max complex events enumerated per input event
+  * (§6 uses 10); `limit = 0` measures pure update throughput; `limit < 0` =
+  * unlimited. `key` is the PARTITION BY key of the substream, named in errors.
   *
   * Input contract: each event's `idx` must be greater than the last one this
   * run saw, or `onEvent` throws without changing the state. Only `idx` is
   * checked, not `ts`.
   *
   * The run state — active-state table, tECS and window clock — is kept apart
-  * from the plan (`det`): [[snapshot]] / [[restore]] move it through the
-  * [[RunState]] codec, which Java serialization also uses for it.
+  * from the plan: [[snapshot]] / [[restore]] move it through the [[RunState]]
+  * codec. An engine's Java form is the plan (the query and the limit, never
+  * the determinizer), the key and the codec bytes; a deserialized engine
+  * compiles a fresh determinizer.
   */
-final class CoreEngine(
-    val det: Determinizer,
-    window: Window,
-    strategy: Strategy = Strategy.All,
-    consume: Consume = Consume.None,
-    limit: Int = -1,
-    key: String = "",
-) extends StreamEngine {
+final class CoreEngine(val plan: CompiledQuery, key: String = "") extends StreamEngine {
+
+  private def window = plan.query.within
+  private def strategy = plan.query.strategy
+  private def consume = plan.query.consume
+  private def limit = plan.limit
+  def det: Determinizer = plan.det
 
   /** Active det-states → union-lists, in insertion order (ordered-keys(T)). */
   @transient private var t = new java.util.LinkedHashMap[Int, UnionList]()
@@ -88,7 +93,7 @@ final class CoreEngine(
     t = table; lastIdx = clock; horizon = Long.MinValue
   }
 
-  // Java serialization: the plan by default, the run state through the codec.
+  // Java serialization: the plan and key by default, the run state through the codec.
   private def writeObject(out: java.io.ObjectOutputStream): Unit = {
     out.defaultWriteObject()
     val state = snapshot()
@@ -112,7 +117,7 @@ final class CoreEngine(
     */
   def onEvent(ev: Ev, sink: MatchSink): Int = {
     val j = ev.idx
-    val now = if (window.countBased) ev.idx else ev.ts
+    val now = window.clock(ev)
     val tau = now - window.epsilon
     advance(j, tau)
     val v = det.bits(ev)
@@ -222,25 +227,27 @@ final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) e
 /** Engine factories. */
 object Engines {
 
-  /** Partition key: values of the PARTITION BY attributes, joined. */
+  /** Partition key: values of the PARTITION BY attributes, joined; the
+    * constant `""` when there are none.
+    */
   def partKeyFn(attrs: Seq[String]): Ev => String = attrs match {
+    case Seq()  => _ => ""
     case Seq(a) => ev => Attr.str(ev, a)
     case _      => ev => attrs.map(a => Attr.str(ev, a)).mkString("|")
   }
 
   /** Build the CORE engine (with partition-by wrapper if the query has one).
-    * The compiled automaton and determinization cache are shared across
-    * partitions, as in the paper.
+    * The compiled plan is shared across partitions, as in the paper.
     */
-  def core(q: CeqlQuery, limit: Int = -1): StreamEngine = {
-    val (cea, reg) = Compiler.compile(q.pattern)
-    val det = new Determinizer(cea, reg)
-    coreFromDet(det, q, limit)
-  }
+  def core(q: CeqlQuery, limit: Int = -1): StreamEngine = runs(new CompiledQuery(q, limit))
 
-  def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine = {
-    val mk = (key: String) => new CoreEngine(det, q.within, q.strategy, q.consume, limit, key)
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(mk, partKeyFn(q.partitionBy)) else mk("")
+  /** [[core]] on a determinizer already compiled from `q`. */
+  def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine =
+    runs(new CompiledQuery(q, limit, Some(det)))
+
+  private def runs(plan: CompiledQuery): StreamEngine = {
+    val keys = plan.query.partitionBy
+    if (keys.nonEmpty) new PartitionedEngine(plan.engine, partKeyFn(keys)) else plan.engine("")
   }
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */

@@ -4,16 +4,19 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Nodes of a timed Enumerable Compact Set (§5.1).
   *
-  * Nodes are plain JVM objects linked by references: when the engine drops
-  * expired union-list entries, unreachable nodes are reclaimed by the GC —
-  * the same effect as the paper's weak-reference memory management (§5.4).
+  * Nodes are plain JVM objects linked by strong references, not the paper's
+  * weak references (§5.4). The engine drops expired union-list entries and
+  * active states, but a union keeps its right branch reachable after that
+  * branch leaves the window: a long-lived run can hold thousands of expired
+  * nodes whose live part encodes in a few hundred bytes. Only the run-state
+  * codec ([[repro.core.engine.RunState]]) trims them, when it encodes.
   *
   * `max` is the maximum-start of the node: the largest start *value* (stream
   * position for count windows, timestamp for time windows) over all open
   * complex events the node represents. It is stored on the node so it is
   * O(1) to read (time-ordering, §5.1).
   */
-sealed abstract class Node extends Serializable {
+sealed abstract class Node {
   def max: Long
 }
 
@@ -119,7 +122,7 @@ object Tecs {
   * Mutable, as in the paper; `insert` also mutates the underlying tECS via
   * `Tecs.union`.
   */
-final class UnionList private (private val nodes: ArrayBuffer[Node]) extends Serializable {
+final class UnionList private (private val nodes: ArrayBuffer[Node]) {
 
   def head: Node = nodes(0)
   def size: Int = nodes.size

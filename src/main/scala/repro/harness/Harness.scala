@@ -90,7 +90,9 @@ object Harness {
     * sampled every `sampleEvery` events. At laptop scale the paper's
     * JVM-heap measurement is dominated by the preloaded stream, so this
     * proxy isolates exactly what Fig 7 (bottom-right) is about: how much
-    * each system stores to remember partial matches.
+    * each system stores to remember partial matches. CORE's serialized form is
+    * its query and its run-state codec bytes; a baseline's is its compiled CEA
+    * and its partial matches.
     */
   def statePeakKB(engine: StreamEngine, stream: Iterator[Ev],
                   events: Long, sampleEvery: Long = 1000): Double = {
@@ -109,20 +111,20 @@ object Harness {
     peak / 1024.0
   }
 
-  /** Render measurements as a GitHub-flavoured markdown table. */
-  def table(title: String, ms: Seq[Measurement], showMem: Boolean = false,
-            showSplit: Boolean = false): String = {
+  /** Render the measurements of table `t` as a GitHub-flavoured markdown
+    * table under its title, with Fig 7's split and state columns if `t` has them.
+    */
+  def table(t: Table, ms: Seq[Measurement]): String = {
     val sb = new StringBuilder
-    sb ++= s"\n### $title\n\n"
+    sb ++= s"\n### ${t.title}\n\n"
     val cols = Seq("system", "config", "events", "matches", "throughput e/s") ++
-      (if (showSplit) Seq("update e/s", "enum out/s") else Nil) ++
-      (if (showMem) Seq("peak state KB") else Nil)
+      (if (t.stateAndSplit) Seq("update e/s", "enum out/s", "peak state KB") else Nil)
     sb ++= cols.mkString("| ", " | ", " |\n")
     sb ++= cols.map(_ => "---").mkString("| ", " | ", " |\n")
     for (m <- ms) {
       val row = Seq(m.system, m.config, m.events.toString, m.matches.toString, f"${m.throughput}%.0f") ++
-        (if (showSplit) Seq(f"${m.updateThroughput}%.0f", f"${m.enumThroughput}%.0f") else Nil) ++
-        (if (showMem) Seq(f"${m.stateKB}%.1f") else Nil)
+        (if (t.stateAndSplit) Seq(f"${m.updateThroughput}%.0f", f"${m.enumThroughput}%.0f", f"${m.stateKB}%.1f")
+         else Nil)
       sb ++= row.mkString("| ", " | ", " |\n")
     }
     sb.toString

@@ -35,11 +35,9 @@ object CoreStreaming {
       "so each key's run state would grow without bound")
     val spark = events.sparkSession
     import spark.implicits._
-    val keyFn: Ev => String =
-      if (q.partitionBy.nonEmpty) Engines.partKeyFn(q.partitionBy) else (_: Ev) => ""
     val plan = new CompiledQuery(q, limit)
     events
-      .groupByKey(keyFn)
+      .groupByKey(Engines.partKeyFn(q.partitionBy))
       .flatMapGroupsWithState[Array[Byte], MatchRow](OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
           val engine = plan.engine(key)

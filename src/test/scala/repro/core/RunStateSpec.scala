@@ -3,7 +3,6 @@ package repro.core
 import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.TestUtil._
-import repro.core.cea.{Compiler, Determinizer}
 import repro.core.cel._
 import repro.core.ceql._
 import repro.core.engine.{CompiledQuery, CoreEngine, Engines, RunState, RunStateFormatException}
@@ -15,29 +14,20 @@ import repro.harness.Workloads
   */
 class RunStateSpec extends AnyFunSuite {
 
-  private def plan(f: Cel): Determinizer = {
-    val (cea, reg) = Compiler.compile(f)
-    new Determinizer(cea, reg)
-  }
-
-  private def engine(det: Determinizer, q: CeqlQuery, limit: Int, key: String = ""): CoreEngine =
-    new CoreEngine(det, q.within, q.strategy, q.consume, limit, key)
-
   /** Outputs per event of one uninterrupted run. */
   private def uninterrupted(q: CeqlQuery, limit: Int, evs: Seq[Ev]): Seq[List[ComplexEvent]] = {
-    val e = engine(plan(q.pattern), q, limit)
+    val e = new CompiledQuery(q, limit).engine("")
     evs.map(e.onEvent)
   }
 
   /** Outputs per event of a run cut before each position in `cuts`; at each
     * cut the state goes through the codec into an engine on the next plan.
     */
-  private def split(q: CeqlQuery, limit: Int, evs: Seq[Ev], cuts: Seq[Int],
-                    plans: Iterator[Determinizer]): Seq[List[ComplexEvent]] = {
-    var e = engine(plans.next(), q, limit)
+  private def split(evs: Seq[Ev], cuts: Seq[Int], plans: Iterator[CompiledQuery]): Seq[List[ComplexEvent]] = {
+    var e = plans.next().engine("")
     evs.zipWithIndex.map { case (ev, i) =>
       if (cuts.contains(i)) {
-        val next = engine(plans.next(), q, limit)
+        val next = plans.next().engine("")
         next.restore(e.snapshot())
         // the same det-states, less those whose runs left the window
         val kept = next.activeStateSetsForTest
@@ -62,11 +52,11 @@ class RunStateSpec extends AnyFunSuite {
         // Every other cut decodes into a fresh plan, warmed up on another stream
         // so that it numbers its det-states in another order.
         val plans = Iterator.from(0).map { k =>
-          val det = plan(f)
-          if (k % 2 == 1) { val w = engine(det, q, limit); warm.foreach(w.onEvent) }
-          det
+          val plan = new CompiledQuery(q, limit)
+          if (k % 2 == 1) { val w = plan.engine(""); warm.foreach(w.onEvent) }
+          plan
         }
-        split(q, limit, evs, cuts.distinct.sorted, plans) == uninterrupted(q, limit, evs)
+        split(evs, cuts.distinct.sorted, plans) == uninterrupted(q, limit, evs)
     }, minTests = 300)
   }
 
@@ -74,16 +64,17 @@ class RunStateSpec extends AnyFunSuite {
     val f = COr(CSeq(CAtom("A"), CAtom("C")), CSeq(CAtom("B"), CAtom("C")))
     val q = query(f, CountWindow(10))
     val evs = stream("A", "B", "A", "C", "B", "C")
-    val det1 = plan(f)
-    val det2 = plan(f)
-    val warm = engine(det2, q, -1)
+    val plan1 = new CompiledQuery(q, -1)
+    val plan2 = new CompiledQuery(q, -1)
+    val warm = plan2.engine("")
     stream("B", "C", "A", "C").foreach(warm.onEvent)
-    val e1 = engine(det1, q, -1)
+    val e1 = plan1.engine("")
     evs.take(3).foreach(e1.onEvent)
+    val (det1, det2) = (plan1.det, plan2.det)
     assume(det1.numDetStates > 1)
     assert((1 until math.min(det1.numDetStates, det2.numDetStates)).exists(p =>
       !det1.stateSet(p).sameElements(det2.stateSet(p))), "the plans number their det-states the same")
-    val e2 = engine(det2, q, -1)
+    val e2 = plan2.engine("")
     e2.restore(e1.snapshot())
     assert(e2.activeStateSetsForTest == e1.activeStateSetsForTest)
     assert(evs.drop(3).map(e2.onEvent) == uninterrupted(q, -1, evs).drop(3))
@@ -93,7 +84,7 @@ class RunStateSpec extends AnyFunSuite {
     val q = query(Cel.seqOfTypes("A", "B"))
     val e1 = Engines.core(q).asInstanceOf[CoreEngine]
     stream("A", "C", "A").foreach(e1.onEvent)
-    val e2 = engine(e1.det, q, -1)
+    val e2 = e1.plan.engine("")
     e2.restore(e1.snapshot())
     val out = e2.onEvent(Ev(3, 3, "B", "NB", 30.0, 0.0))
     assert(out.map(ce => (ce.start, ce.data)).toSet ==
@@ -105,12 +96,48 @@ class RunStateSpec extends AnyFunSuite {
     val evs = (0 until 20000).map(i => Ev(i, i, if (i == 0) "A" else if (i % 1000 == 999) "C" else "B", "", 0, 0))
     val e1 = Engines.core(q, limit = 10).asInstanceOf[CoreEngine]
     evs.take(15000).foreach(e1.onEvent)
+    val e2 = fromJava(javaForm(e1))
+    assert(evs.drop(15000).map(e2.onEvent) == uninterrupted(q, 10, evs).drop(15000))
+  }
+
+  private def javaForm(e: CoreEngine): Array[Byte] = {
     val bos = new java.io.ByteArrayOutputStream()
     val oos = new java.io.ObjectOutputStream(bos)
-    oos.writeObject(e1); oos.close()
-    val e2 = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bos.toByteArray))
-      .readObject().asInstanceOf[CoreEngine]
-    assert(evs.drop(15000).map(e2.onEvent) == uninterrupted(q, 10, evs).drop(15000))
+    oos.writeObject(e); oos.close()
+    bos.toByteArray
+  }
+
+  private def fromJava(bytes: Array[Byte]): CoreEngine =
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes)).readObject().asInstanceOf[CoreEngine]
+
+  /** 2000 events over {A,B,C} whose timestamps grow by 0–3 per event, as `genTimedStream` builds them. */
+  private val timed: IndexedSeq[Ev] = {
+    val rnd = new scala.util.Random(7)
+    val types = IndexedSeq.fill(2000)(Seq("A", "B", "C")(rnd.nextInt(3)))
+    types.zip(types.indices.scanLeft(0L)((ts, _) => ts + rnd.nextInt(4))).zipWithIndex.map { case ((t, ts), i) =>
+      Ev(i.toLong, ts, t, s"N$t", 10.0 * i, 0.0)
+    }
+  }
+
+  test("an engine's Java form is its query and its run state: it does not grow with the det cache") {
+    val e = new CompiledQuery(query(Cel.seq(CAtom("A"), CPlus(CAtom("B")), CAtom("C")), TimeWindow(6)), 10).engine("")
+    def planBytes = javaForm(e).length - e.snapshot().length
+    val fresh = planBytes
+    val cache0 = e.det.cacheSize
+    timed.foreach(e.onEvent)
+    assert(e.det.cacheSize > cache0)
+    assert(planBytes == fresh)
+  }
+
+  test("a deserialized engine compiles a fresh determinizer and continues the run") {
+    val q = query(Cel.seq(CAtom("A"), CPlus(CAtom("B")), CAtom("C")), TimeWindow(20))
+    val e1 = new CompiledQuery(q, 10).engine("")
+    timed.take(1000).foreach(e1.onEvent)
+    val e2 = fromJava(javaForm(e1))
+    assert(e2.det ne e1.det)
+    // only the det-states of the decoded run state are interned, and nothing is cached
+    assert(e2.det.cacheSize == 0 && e1.det.cacheSize > 0)
+    assert(timed.drop(1000).map(e2.onEvent) == uninterrupted(q, 10, timed).drop(1000))
   }
 
   test("a fresh engine's stored state holds no plan: stock Q3 and A1;...;A9 store the same bytes") {
@@ -165,7 +192,7 @@ class RunStateSpec extends AnyFunSuite {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(10))
     val e1 = Engines.core(q).asInstanceOf[CoreEngine]
     e1.onEvent(Ev(4, 4, "A", "", 0, 0))
-    val e2 = engine(e1.det, q, -1, key = "k")
+    val e2 = e1.plan.engine("k")
     e2.restore(e1.snapshot())
     val err = intercept[IllegalArgumentException](e2.onEvent(Ev(3, 3, "B", "", 0, 0)))
     assert(err.getMessage.contains("'k'") && err.getMessage.contains("idx 3") && err.getMessage.contains("idx 4"))

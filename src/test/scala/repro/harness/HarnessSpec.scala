@@ -40,9 +40,9 @@ class HarnessSpec extends AnyFunSuite {
 
   test("table renders all requested columns") {
     val m = Measurement("core", "n=3", 100, 5, 1.0, 0.1, 42.0)
-    val basic = Harness.table("T", Seq(m))
+    val basic = Harness.table(Workloads.Table("T", "T", Nil), Seq(m))
     assert(basic.contains("| core | n=3 | 100 | 5 |"))
-    val full = Harness.table("T", Seq(m), showMem = true, showSplit = true)
+    val full = Harness.table(Workloads.Table("T", "T", Nil, stateAndSplit = true), Seq(m))
     assert(full.contains("update e/s") && full.contains("peak state KB"))
     assert(full.contains("42.0"))
   }

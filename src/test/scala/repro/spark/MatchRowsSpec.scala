@@ -4,10 +4,9 @@ import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{ComplexEvent, Ev}
 import repro.core.TestUtil._
-import repro.core.cea.{Compiler, Determinizer}
 import repro.core.cel._
 import repro.core.ceql._
-import repro.core.engine.{BruteForce, CoreEngine}
+import repro.core.engine.{BruteForce, CompiledQuery, CoreEngine}
 
 /** The Spark operators' row iterator ([[MatchRows]]), which formats rows
   * straight from the enumerator's position buffer, against the list path
@@ -17,10 +16,7 @@ class MatchRowsSpec extends AnyFunSuite {
 
   private val key = "k"
 
-  private def engine(q: CeqlQuery, limit: Int): CoreEngine = {
-    val (cea, reg) = Compiler.compile(q.pattern)
-    new CoreEngine(new Determinizer(cea, reg), q.within, q.strategy, q.consume, limit, key)
-  }
+  private def engine(q: CeqlQuery, limit: Int): CoreEngine = new CompiledQuery(q, limit).engine(key)
 
   private def row(ce: ComplexEvent): MatchRow = MatchRow(key, ce.start, ce.end, ce.data.mkString(","))
 
