@@ -177,10 +177,12 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
   }
 
   /** Output (Algorithm 1 lines 29–33): enumerate matches at final states.
-    * Under MAX the matches are gathered, filtered, and the maximal ones
-    * passed on.
+    * Under MAX every match is gathered and filtered, and at most `limit` of
+    * the maximal ones are passed on: a match is maximal only among all of them.
     */
   private def output(j: Long, tau: Long, sink: MatchSink): Int = {
+    val max = strategy == Strategy.Max
+    val cap = if (max && limit != 0) -1 else limit
     var found = 0
     var anyFinal = false
     val it = t.entrySet().iterator()
@@ -188,16 +190,15 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
       val e = it.next()
       if (det.isFinal(e.getKey)) {
         anyFinal = true
-        if (limit < 0 || found < limit) {
-          val target = if (strategy == Strategy.Max) maxSink else sink
+        if (cap < 0 || found < cap) {
           val t0 = System.nanoTime()
-          found += cursor.run(e.getValue.merge(), j, tau, if (limit < 0) -1 else limit - found, target)
+          found += cursor.run(e.getValue.merge(), j, tau, if (cap < 0) -1 else cap - found, if (max) maxSink else sink)
           enumNs += System.nanoTime() - t0
         }
       }
     }
-    if (strategy == Strategy.Max && found > 0) {
-      val kept = Engines.maximalOnly(maxSink.result())
+    if (max && found > 0) {
+      val kept = Engines.maximalOnly(maxSink.result()).take(if (limit < 0) Int.MaxValue else limit)
       kept.foreach(ce => sink(ce.start, ce.end, ce.data.toArray, 0))
       found = kept.size
     }
@@ -239,16 +240,15 @@ object Engines {
   /** Build the CORE engine (with partition-by wrapper if the query has one).
     * The compiled plan is shared across partitions, as in the paper.
     */
-  def core(q: CeqlQuery, limit: Int = -1): StreamEngine = runs(new CompiledQuery(q, limit))
+  def core(q: CeqlQuery, limit: Int = -1): StreamEngine = perKey(q, new CompiledQuery(q, limit).engine)
 
   /** [[core]] on a determinizer already compiled from `q`. */
   def coreFromDet(det: Determinizer, q: CeqlQuery, limit: Int): StreamEngine =
-    runs(new CompiledQuery(q, limit, Some(det)))
+    perKey(q, new CompiledQuery(q, limit, Some(det)).engine)
 
-  private def runs(plan: CompiledQuery): StreamEngine = {
-    val keys = plan.query.partitionBy
-    if (keys.nonEmpty) new PartitionedEngine(plan.engine, partKeyFn(keys)) else plan.engine("")
-  }
+  /** One run from `run` per PARTITION BY key of `q`, or a single run if it has none. */
+  def perKey(q: CeqlQuery, run: String => StreamEngine): StreamEngine =
+    if (q.partitionBy.nonEmpty) new PartitionedEngine(run, partKeyFn(q.partitionBy)) else run("")
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */
   def maximalOnly(ms: List[ComplexEvent]): List[ComplexEvent] = {

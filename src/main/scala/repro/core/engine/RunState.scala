@@ -86,7 +86,8 @@ object RunState {
     out.result()
   }
 
-  /** Decodes `bytes` against `det`, interning any det-state it has not seen. */
+  /** Decodes `bytes` against `det`, interning any det-state it has not seen;
+    * rejects union-lists and unions that are not time-ordered (§5.1, §5.2). */
   def decode(det: Determinizer, bytes: Array[Byte]): (java.util.LinkedHashMap[Int, UnionList], Long) = {
     val in = new In(bytes)
     val version = in.byte()
@@ -110,7 +111,10 @@ object RunState {
       nodes(i) = in.byte() match {
         case BottomKind => val pos = clock - in.uvarint(); new Bottom(pos, pos + in.zigzag())
         case OutputKind => val pos = clock - in.uvarint(); new Output(pos, back())
-        case UnionKind  => val l = back(); new Union(l, back())
+        case UnionKind  =>
+          val l = back(); val r = back()
+          if (r.max > l.max) throw in.corrupt(s"union node $i: right max-start ${r.max} above left ${l.max}")
+          new Union(l, r)
         case k          => throw in.corrupt(s"node kind $k")
       }
       i += 1
@@ -121,16 +125,15 @@ object RunState {
       val set = new Array[Int](in.count("NFA states"))
       var k = 0
       while (k < set.length) { set(k) = (if (k == 0) 0 else set(k - 1)) + in.int("NFA state"); k += 1 }
-      val p = try det.detState(set) catch {
-        case e: IllegalArgumentException => throw in.corrupt(e.getMessage)
-      }
+      val p = in.checked(det.detState(set))
       val len = in.count("union-list entries")
       if (len == 0 || table.containsKey(p)) throw in.corrupt(s"active state ${set.mkString("{", ",", "}")}")
-      table.put(p, UnionList.unsafeFromNodes(Seq.fill(len) {
+      val entries = Seq.fill(len) {
         val n = in.int("node index")
         if (n >= nodes.length) throw in.corrupt(s"node index $n of ${nodes.length}")
         nodes(n)
-      }))
+      }
+      table.put(p, in.checked(UnionList.of(entries)))
       s -= 1
     }
     if (!in.atEnd) throw in.corrupt("trailing bytes")
@@ -182,6 +185,8 @@ object RunState {
     private var i = 0
     def atEnd: Boolean = i == b.length
     def corrupt(what: String) = new RunStateFormatException(s"run state corrupt at byte $i of ${b.length}: $what")
+    /** `a`, with a rejected argument reported as corrupt input. */
+    def checked[A](a: => A): A = try a catch { case e: IllegalArgumentException => throw corrupt(e.getMessage) }
     def byte(): Int = {
       if (i >= b.length) throw new RunStateFormatException(s"run state truncated: ${b.length} bytes")
       val v = b(i) & 0xFF; i += 1; v

@@ -162,7 +162,15 @@ object UnionList {
     require(!n.isInstanceOf[Union], "new-ulist requires a non-union node")
     new UnionList(ArrayBuffer[Node](n))
   }
-  /** Rebuild a list from already-validated nodes (deserialization only). */
-  private[repro] def unsafeFromNodes(ns: Seq[Node]): UnionList =
-    new UnionList(ArrayBuffer.from(ns))
+  /** The union-list of `ns`, in order (decoding only); throws
+    * `IllegalArgumentException` unless `ns` has a union-list's shape. */
+  def of(ns: Seq[Node]): UnionList = {
+    val ul = single(ns.head)
+    for (n <- ns.tail) {
+      val bound = if (ul.size == 1) ul.maxStart else ul.nodes.last.max - 1
+      require(n.max <= bound, s"union-list entry ${ul.size} has max-start ${n.max}, above $bound")
+      ul.nodes += n
+    }
+    ul
+  }
 }

@@ -41,11 +41,9 @@ object Harness {
     var matches = 0L
     val t0 = System.nanoTime()
     val deadline = t0 + budgetMs * 1000000L
-    var continue = true
-    while (continue && stream.hasNext) {
+    while (stream.hasNext && System.nanoTime() <= deadline) {
       matches += engine.onEvent(stream.next()).size
       events += 1
-      if ((events & 255) == 0 && System.nanoTime() > deadline) continue = false
     }
     val seconds = (System.nanoTime() - t0) / 1e9
     Measurement(system, config, events, matches, seconds, engine.enumNanos / 1e9, 0.0)

@@ -22,8 +22,8 @@ final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
   *    no grouping key is built and the stream is never held in an array.
   *    `coalesce(1)` is narrow, so the narrow work upstream of the query (its
   *    scan, projections, filters) also runs in that one task.
-  *  - A partitioned query goes through `groupByKey` on the key; each key's
-  *    events are sorted by `idx` before its run.
+  *  - A partitioned query goes through `groupByKey` on the key and
+  *    `flatMapSortedGroups` on `idx`, whose sort orders each key's events.
   */
 object CoreBatch {
 
@@ -36,8 +36,8 @@ object CoreBatch {
         new MatchRows("", plan.engine(""), it)
       }
     else
-      events.groupByKey(Engines.partKeyFn(q.partitionBy)).flatMapGroups { (key: String, it: Iterator[Ev]) =>
-        new MatchRows(key, plan.engine(key), it.toArray.sortBy(_.idx).iterator)
+      events.groupByKey(Engines.partKeyFn(q.partitionBy)).flatMapSortedGroups(col("idx")) {
+        (key: String, it: Iterator[Ev]) => new MatchRows(key, plan.engine(key), it)
       }
   }
 

@@ -21,8 +21,9 @@ import repro.core.engine.{CompiledQuery, Engines}
   * writes a group's state to the store only once it has consumed the rows.
   *
   * Events must arrive in increasing `idx` order per key across micro-batches
-  * (CER streams are ordered; within a batch we sort by idx). An event whose
-  * `idx` is not after the key's last one fails the query.
+  * (CER streams are ordered). Within a batch each key's events are sorted by
+  * `idx` in memory, as `flatMapGroupsWithState` has no sorted form. An event
+  * whose `idx` is not after the key's last one fails the query.
   *
   * The query must have a WITHIN clause: without one no partial match ever
   * expires, so a key's run state would grow without bound.

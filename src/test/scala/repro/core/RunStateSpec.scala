@@ -173,6 +173,33 @@ class RunStateSpec extends AnyFunSuite {
     }
   }
 
+  /** A run state at clock 9 over `nodes` (encoded children first), with the
+    * one active state {0} whose union-list is the nodes at `entries`.
+    */
+  private def crafted(nodes: Seq[Seq[Int]], entries: Seq[Int]): Array[Byte] =
+    (Seq(RunState.Version, 1, 2 * 9, nodes.size) ++ nodes.flatten ++ Seq(1, 1, 0, entries.size) ++ entries)
+      .map(_.toByte).toArray
+
+  /** A bottom node at `pos` with max-start `pos`; a union node `self` over two earlier ones. */
+  private def bottom(pos: Int) = Seq(0, 9 - pos, 0)
+  private def union(self: Int, left: Int, right: Int) = Seq(2, self - left, self - right)
+
+  test("a state whose union-lists or unions are not time-ordered is rejected") {
+    // nodes 0, 1, 2 are bottoms with max-start 5, 4, 2; node 3 is 1 ∪ 2 (max-start 4)
+    val nodes = Seq(bottom(5), bottom(4), bottom(2), union(3, 1, 2))
+    val e = Engines.core(query(Cel.seqOfTypes("A", "B"), CountWindow(10))).asInstanceOf[CoreEngine]
+    e.restore(crafted(nodes, Seq(0, 3, 2)))
+    assert(e.unionListsForTest.map(_.size) == Seq(3))
+    def rejected(bytes: Array[Byte], why: String): Unit = {
+      val err = intercept[RunStateFormatException](e.restore(bytes))
+      assert(err.getMessage.contains(why), err.getMessage)
+    }
+    rejected(crafted(nodes, Seq(3, 2)), "non-union")                  // head is a union
+    rejected(crafted(nodes, Seq(0, 1, 3)), "max-start 4, above 3")   // 4 after 4: not strictly decreasing
+    rejected(crafted(nodes, Seq(1, 0)), "max-start 5, above 4")      // above the head's
+    rejected(crafted(nodes :+ union(4, 2, 1), Seq(0)), "right max-start 4 above left 2")
+  }
+
   test("an event whose idx is not after the key's last one is rejected, naming the key and both positions") {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(10), partitionBy = Seq("name"))
     val e = Engines.core(q)

@@ -34,6 +34,12 @@ class SelectionSpec extends AnyFunSuite {
     assert(runAll(Engines.core(q), s).toSet == BruteForce.evaluate(q, s))
   }
 
+  test("MAX under a per-event limit emits maximal matches, not the first candidates") {
+    val e = Engines.core(query(CPlus(CAtom("A")), strategy = Strategy.Max), limit = 1)
+    val got = stream("C", "A", "A", "A").map(e.onEvent(_).map(_.data))
+    assert(got == Seq(Nil, List(List(1L)), List(List(1L, 2L)), List(List(1L, 2L, 3L))))
+  }
+
   test("NEXT and LAST return subsets of ALL") {
     val all = runAll(Engines.core(query(pat)), evs).toSet
     for (s <- Seq(Strategy.Next, Strategy.Last)) {

@@ -1,7 +1,8 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.engine.Engines
+import repro.core.{ComplexEvent, Ev}
+import repro.core.engine.{Engines, StreamEngine}
 import repro.gen.StreamGen
 
 /** The measurement harness itself: budget handling, stream exhaustion,
@@ -23,6 +24,15 @@ class HarnessSpec extends AnyFunSuite {
     val m = Harness.measure("core", "t", Engines.core(q, 10), slowStream, budgetMs = 150)
     assert(m.seconds < 5.0) // stopped well before the infinite stream ended
     assert(m.events > 0)
+  }
+
+  test("measure checks its budget after every event") {
+    val slow = new StreamEngine {
+      def onEvent(ev: Ev): List[ComplexEvent] = { Thread.sleep(2); Nil }
+      def enumNanos: Long = 0
+    }
+    val m = Harness.measure("slow", "t", slow, StreamGen.cycled(evs, Long.MaxValue / 2), budgetMs = 20)
+    assert(m.events < 20, s"${m.events} events of 2 ms each in a 20 ms budget")
   }
 
   test("throughput fields are consistent") {

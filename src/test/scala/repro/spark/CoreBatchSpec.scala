@@ -120,19 +120,37 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     spark0.createDataset(spark0.sparkContext.parallelize(shuffled, partitions))
   }
 
+  private def genQuery(partitionBy: Seq[String]): Gen[CeqlQuery] = for {
+    f <- genCel(2)
+    w <- Gen.oneOf(Gen.const(NoWindow), Gen.choose(1L, 12L).map(CountWindow(_)), Gen.choose(0L, 12L).map(TimeWindow(_)))
+    s <- Gen.oneOf(Strategy.All, Strategy.Max, Strategy.Next, Strategy.Last)
+    c <- Gen.oneOf(Consume.None, Consume.Any)
+  } yield query(f, w, s, c, partitionBy)
+
   test("property: an unpartitioned query gives exactly the single engine's rows, however the input is partitioned") {
-    val genQuery = for {
-      f <- genCel(2)
-      w <- Gen.oneOf(Gen.const(NoWindow), Gen.choose(1L, 12L).map(CountWindow(_)), Gen.choose(0L, 12L).map(TimeWindow(_)))
-      s <- Gen.oneOf(Strategy.All, Strategy.Max, Strategy.Next, Strategy.Last)
-      c <- Gen.oneOf(Consume.None, Consume.Any)
-    } yield query(f, w, s, c)
-    check(forAll(genQuery, Gen.oneOf(-1, 10), genTimedStream(12), Gen.long) { (q, limit, evs, seed) =>
+    check(forAll(genQuery(Nil), Gen.oneOf(-1, 10), genTimedStream(12), Gen.long) { (q, limit, evs, seed) =>
       val single = Engines.core(q, limit)
       val expected = evs.flatMap(ev => single.onEvent(ev).map(ce => ("", ce.start, ce.end, ce.data.mkString(","))))
       Seq(1, 3, 8).forall { n =>
         CoreBatch.evaluate(scattered(evs, n, seed), q, limit).collect()
           .map(m => (m.partKey, m.start, m.end, m.data)).toSeq == expected
+      }
+    }, minTests = 30)
+  }
+
+  test("property: a partitioned query gives exactly the single engine's rows, however the input is partitioned") {
+    val genKeyed = for {
+      evs <- genTimedStream(12)
+      keys <- Gen.choose(2, 3)
+      vs <- Gen.listOfN(evs.size, Gen.choose(1, keys))
+    } yield evs.zip(vs).map { case (ev, v) => ev.copy(volume = 100.0 * v) }
+    val keyFn = Engines.partKeyFn(Seq("volume"))
+    check(forAll(genQuery(Seq("volume")), Gen.oneOf(-1, 10), genKeyed, Gen.long) { (q, limit, evs, seed) =>
+      val single = Engines.core(q, limit)
+      val expected = evs.flatMap(ev => single.onEvent(ev).map(ce => (keyFn(ev), ce.start, ce.end, ce.data.mkString(","))))
+      Seq(1, 3, 8).forall { n =>
+        CoreBatch.evaluate(scattered(evs, n, seed), q, limit).collect()
+          .map(m => (m.partKey, m.start, m.end, m.data)).toSeq.sorted == expected.sorted
       }
     }, minTests = 30)
   }

@@ -48,11 +48,18 @@ class MatchRowsSpec extends AnyFunSuite {
         val all = BruteForce.evaluate(q.copy(strategy = Strategy.All), evs).map(row)
         val exact = strategy != Strategy.Next && strategy != Strategy.Last &&
           consume == Consume.None && limit < 0
+        // MAX under a limit: each event's rows are min(limit, |MAX|) distinct maximal matches ending there.
+        lazy val maxAt = BruteForce.evaluate(q, evs).map(row).groupBy(_.end)
+        val limitedMax = strategy == Strategy.Max && consume == Consume.None && limit >= 0
         iteratorRowsPerEvent(q, limit, evs) == want &&
           whole == want.flatten &&
           want.forall(rs => limit < 0 || rs.size <= limit) &&
           (if (exact) want.flatten.toSet == BruteForce.evaluate(q, evs).map(row)
-           else want.flatten.toSet.subsetOf(all))
+           else want.flatten.toSet.subsetOf(all)) &&
+          (!limitedMax || evs.zip(want).forall { case (ev, rs) =>
+            val max = maxAt.getOrElse(ev.idx, Set.empty[MatchRow])
+            rs.toSet.subsetOf(max) && rs.distinct.size == rs.size && rs.size == math.min(limit, max.size)
+          })
     }, minTests = 300)
   }
 
