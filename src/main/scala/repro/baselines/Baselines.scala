@@ -1,10 +1,11 @@
 package repro.baselines
 
-import repro.core.{ComplexEvent, Ev}
+import repro.core.Ev
 import repro.core.cea.{Cea, CTrans, Compiler}
 import repro.core.ceql.{CeqlQuery, Consume, Window}
 import repro.core.engine.{Engines, StreamEngine}
 import repro.core.pred.AtomRegistry
+import repro.core.tecs.MatchSink
 import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
@@ -47,13 +48,12 @@ private[baselines] abstract class NfaBase(
   protected def candidates: Iterator[mutable.ArrayBuffer[Run]]
   protected def clear(): Unit
 
-  final def onEvent(ev: Ev): List[ComplexEvent] = {
+  final def onEvent(ev: Ev, sink: MatchSink): Int = {
     val j = ev.idx
     val now = window.clock(ev)
     val tau = now - window.epsilon
     advance(Run(cea.q0, j, now, Nil), reg.bits(ev), j, tau)
     val t0 = System.nanoTime()
-    var out = List.empty[ComplexEvent]
     var n = 0
     var anyFinal = false
     val bufs = candidates
@@ -64,14 +64,23 @@ private[baselines] abstract class NfaBase(
         val r = b(i)
         if (cea.finals.contains(r.state) && r.startVal >= tau) {
           anyFinal = true
-          if (limit < 0 || n < limit) { out = ComplexEvent.of(r.startIdx, j, r.marks) :: out; n += 1 }
+          if (limit < 0 || n < limit) { emit(r, j, sink); n += 1 }
         }
         i += 1
       }
     }
     enumNs += System.nanoTime() - t0
     if (consume == Consume.Any && anyFinal) clear()
-    out.reverse
+    n
+  }
+
+  /** Reused by every match: a run's marks (newest first) are written right to left. */
+  @transient private var positions: Array[Long] = null
+  private def emit(r: Run, j: Long, sink: MatchSink): Unit = {
+    if (positions == null || positions.length < r.marks.length) positions = new Array[Long](2 * r.marks.length)
+    var i = positions.length; var m = r.marks
+    while (m.nonEmpty) { i -= 1; positions(i) = m.head; m = m.tail }
+    sink(r.startIdx, j, positions, i)
   }
 }
 

@@ -6,7 +6,7 @@ import scala.collection.mutable.ArrayBuffer
 
 /** Hand-written recursive-descent parser for CEQL (§3 syntax, §2 examples,
   * appendix C stock queries). No external parser libraries are available
-  * offline, so tokenization is done by hand too.
+  * offline; tokens are read by one regex.
   *
   * Grammar (keywords case-insensitive):
   * {{{
@@ -37,35 +37,29 @@ object CeqlParser {
   private val keywords = Set("SELECT", "FROM", "WHERE", "FILTER", "PARTITION",
     "BY", "WITHIN", "CONSUME", "AS", "OR", "AND")
 
+  /** Whitespace, or by group an identifier, a number, a `'…'` or `"…"` string, a
+    * symbol. The classes are `Char`'s `isWhitespace`, `isLetter`, `isLetterOrDigit`
+    * and `isDigit`; `bmp` keeps them to single chars, as those tests are. */
+  private val token = {
+    val bmp = raw"&&[^\x{10000}-\x{10FFFF}]"
+    (raw"\p{javaWhitespace}+|([\p{javaLetter}_$bmp][\p{javaLetterOrDigit}_'$bmp]*)" +
+      raw"""|([\p{javaDigit}$bmp][\p{javaDigit}.$bmp]*)|'([^']*)'|"([^"]*)"|(<=|>=|!=|<>|==|[();\[\],+=<>*])""").r.pattern
+  }
+  private val kinds: Array[String => Tok] = Array(TId, TNum, TStr, TStr, TSym)
+
   def tokenize(s: String): Vector[Tok] = {
-    val out = ArrayBuffer.empty[Tok]
+    val out = Vector.newBuilder[Tok]
+    val m = token.matcher(s)
     var i = 0
-    def isIdStart(c: Char) = c.isLetter || c == '_'
-    def isIdPart(c: Char)  = c.isLetterOrDigit || c == '_' || c == '\''
     while (i < s.length) {
-      val c = s(i)
-      if (c.isWhitespace) i += 1
-      else if (isIdStart(c)) {
-        val start = i
-        while (i < s.length && isIdPart(s(i))) i += 1
-        out += TId(s.substring(start, i))
-      } else if (c.isDigit) {
-        val start = i
-        while (i < s.length && (s(i).isDigit || s(i) == '.')) i += 1
-        out += TNum(s.substring(start, i))
-      } else if (c == '\'' || c == '"') {
-        val q = c; val start = i + 1
-        i += 1
-        while (i < s.length && s(i) != q) i += 1
-        if (i >= s.length) throw new IllegalArgumentException(s"unterminated string at $start")
-        out += TStr(s.substring(start, i)); i += 1
-      } else if (i + 1 < s.length && Set("<=", ">=", "!=", "<>", "==").contains(s.substring(i, i + 2))) {
-        out += TSym(s.substring(i, i + 2)); i += 2
-      } else if ("();[],+=<>*".contains(c)) {
-        out += TSym(c.toString); i += 1
-      } else throw new IllegalArgumentException(s"unexpected character '$c' at $i")
+      if (!m.region(i, s.length).lookingAt()) throw new IllegalArgumentException(
+        if (s(i) == '\'' || s(i) == '"') s"unterminated string at ${i + 1}" else s"unexpected character '${s(i)}' at $i")
+      var g = 1
+      while (g <= kinds.length && m.start(g) < 0) g += 1
+      if (g <= kinds.length) out += kinds(g - 1)(m.group(g))
+      i = m.end()
     }
-    out.toVector
+    out.result()
   }
 
   // ------------------------------------------------------------------ parser

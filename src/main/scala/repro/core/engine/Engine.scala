@@ -6,16 +6,23 @@ import repro.core.ceql._
 import repro.core.pred.Attr
 import repro.core.tecs._
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** Common interface of all engines (CORE + the three baselines): push one
-  * event, get the complex events recognized at that position (up to the
-  * configured per-event output limit).
+  * event; the complex events recognized at its position (up to the configured
+  * per-event output limit) go to a [[MatchSink]] as they are enumerated.
   */
 trait StreamEngine extends Serializable {
-  def onEvent(ev: Ev): List[ComplexEvent]
+  /** Passes the complex events recognized at `ev`'s position to `sink`, in
+    * enumeration order; returns their number. */
+  def onEvent(ev: Ev, sink: MatchSink): Int
   /** Cumulative nanoseconds spent enumerating outputs (for the Fig-7 split
     * into update vs enumeration throughput). */
   def enumNanos: Long
+
+  @transient private lazy val listSink = new ListSink
+  /** [[onEvent]]'s matches as a list, in enumeration order. */
+  final def onEvent(ev: Ev): List[ComplexEvent] = { onEvent(ev, listSink); listSink.result() }
 }
 
 /** CORE's evaluation algorithm (Algorithm 1, §5.3) over an I/O-determinized
@@ -34,9 +41,10 @@ trait StreamEngine extends Serializable {
   * (§6 uses 10); `limit = 0` measures pure update throughput; `limit < 0` =
   * unlimited. `key` is the PARTITION BY key of the substream, named in errors.
   *
-  * Input contract: each event's `idx` must be greater than the last one this
-  * run saw, or `onEvent` throws without changing the state. Only `idx` is
-  * checked, not `ts`.
+  * Input contract: each event's `idx` must be above the last one's and its
+  * window start (clock − ε) not below it, or `onEvent` throws without changing
+  * the state. Under a time window `ts` may not fall; the codec keeps no window
+  * start, so that check lapses for the first event after [[restore]].
   *
   * The run state — active-state table, tECS and window clock — is kept apart
   * from the plan: [[snapshot]] / [[restore]] move it through the [[RunState]]
@@ -59,28 +67,18 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
   /** Window start of the last event: lower start values can match no later event. */
   @transient private var horizon = Long.MinValue
   private var enumNs = 0L
-  /** Enumeration cursor, the sink that gathers MAX's candidates and the sink
-    * behind the list-returning [[onEvent]]: built on first use, then reused. */
+  /** Enumeration cursor and MAX's candidate sink: built on first use, then reused. */
   @transient private lazy val cursor = new Enumerator
   @transient private lazy val maxSink = new ListSink
-  @transient private lazy val listSink = new ListSink
 
   def enumNanos: Long = enumNs
   def activeStates: Int = t.size()
 
   /** Test hook: the active union-lists in insertion order. */
-  def unionListsForTest: Seq[UnionList] = {
-    val b = Seq.newBuilder[UnionList]
-    t.values().forEach(ul => b += ul)
-    b.result()
-  }
+  def unionListsForTest: Seq[UnionList] = t.values().asScala.toSeq
 
   /** Test hook: the NFA-state sets of the active det-states, in insertion order. */
-  def activeStateSetsForTest: Seq[List[Int]] = {
-    val b = Seq.newBuilder[List[Int]]
-    t.keySet().forEach(p => b += det.stateSet(p).toList)
-    b.result()
-  }
+  def activeStateSetsForTest: Seq[List[Int]] = t.keySet().asScala.toSeq.map(det.stateSet(_).toList)
 
   /** The run state, encoded by [[RunState]]: no part of the plan. */
   def snapshot(): Array[Byte] = RunState.encode(det, t, lastIdx, horizon)
@@ -107,14 +105,6 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
     restore(state)
   }
 
-  def onEvent(ev: Ev): List[ComplexEvent] = {
-    onEvent(ev, listSink)
-    listSink.result()
-  }
-
-  /** Processes `ev` and passes the complex events recognized at its position
-    * to `sink`, in enumeration order; returns their number.
-    */
   def onEvent(ev: Ev, sink: MatchSink): Int = {
     val j = ev.idx
     val now = window.clock(ev)
@@ -143,11 +133,13 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
   }
 
   /** Moves the window clock to position `j`, window start `tau`; rejects `j`
-    * if it is not after the last position.
+    * if it is not after the last position, `tau` if it is before the last start.
     */
   private def advance(j: Long, tau: Long): Unit = {
     if (j <= lastIdx && lastIdx != RunState.NoClock) throw new IllegalArgumentException(
       s"out-of-order event for key '$key': idx $j is not after the key's last idx $lastIdx")
+    if (tau < horizon) throw new IllegalArgumentException(
+      s"out-of-order event for key '$key': idx $j moves the window start back from $horizon to $tau")
     lastIdx = j; horizon = tau
   }
 
@@ -216,11 +208,8 @@ final class CoreEngine(val plan: CompiledQuery, key: String = "") extends Stream
   */
 final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) extends StreamEngine {
   private val engines = mutable.HashMap.empty[String, StreamEngine]
-  def onEvent(ev: Ev): List[ComplexEvent] = {
-    val key = keyFn(ev)
-    var e = engines.getOrElse(key, null)
-    if (e == null) { e = mk(key); engines.update(key, e) }
-    e.onEvent(ev)
+  def onEvent(ev: Ev, sink: MatchSink): Int = {
+    val key = keyFn(ev); engines.getOrElseUpdate(key, mk(key)).onEvent(ev, sink)
   }
   def enumNanos: Long = engines.valuesIterator.map(_.enumNanos).sum
 }

@@ -2,6 +2,7 @@ package repro.harness
 
 import repro.core.Ev
 import repro.core.engine.StreamEngine
+import repro.core.tecs.MatchSink
 import repro.gen.StreamGen
 import repro.harness.Workloads.Table
 
@@ -35,6 +36,9 @@ object Harness {
 
   val budgetMs: Long = sys.env.getOrElse("BENCH_MS", "1000").toLong
 
+  /** Drops every match: a measurement counts matches, it keeps none. */
+  private val discard: MatchSink = (_, _, _, _) => ()
+
   def measure(system: String, config: String, engine: StreamEngine,
               stream: Iterator[Ev], budgetMs: Long = budgetMs): Measurement = {
     var events = 0L
@@ -42,7 +46,7 @@ object Harness {
     val t0 = System.nanoTime()
     val deadline = t0 + budgetMs * 1000000L
     while (stream.hasNext && System.nanoTime() <= deadline) {
-      matches += engine.onEvent(stream.next()).size
+      matches += engine.onEvent(stream.next(), discard)
       events += 1
     }
     val seconds = (System.nanoTime() - t0) / 1e9
@@ -97,7 +101,7 @@ object Harness {
     var n = 0L
     var peak = 0
     while (n < events && stream.hasNext) {
-      engine.onEvent(stream.next())
+      engine.onEvent(stream.next(), discard)
       n += 1
       if (n % sampleEvery == 0) {
         val bos = new java.io.ByteArrayOutputStream()

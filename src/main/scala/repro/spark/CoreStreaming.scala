@@ -23,7 +23,9 @@ import repro.core.engine.{CompiledQuery, Engines}
   * Events must arrive in increasing `idx` order per key across micro-batches
   * (CER streams are ordered). Within a batch each key's events are sorted by
   * `idx` in memory, as `flatMapGroupsWithState` has no sorted form. An event
-  * whose `idx` is not after the key's last one fails the query.
+  * whose `idx` is not after the key's last one fails the query, as does one
+  * whose `ts` falls within a batch under a time window (across batches that
+  * goes unchecked: the state codec keeps no window start).
   *
   * The query must have a WITHIN clause: without one no partial match ever
   * expires, so a key's run state would grow without bound.

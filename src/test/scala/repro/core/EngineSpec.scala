@@ -159,6 +159,23 @@ class EngineSpec extends AnyFunSuite {
     assert(coreMatches(q, evs) == Set(ComplexEvent(0, 1, List(0, 1))))
   }
 
+  test("under a time window, an event that moves the window start back is rejected, naming the key and both starts") {
+    // A@ts0, B@ts10, C@ts3: {0, 2} is a match, but the run of A was pruned
+    // at ts10, so the engine cannot find it and must not answer without it
+    val q = query(Cel.seqOfTypes("A", "C"), TimeWindow(5), partitionBy = Seq("name"))
+    val evs = IndexedSeq(Ev(0, 0, "A", "K", 0, 0), Ev(1, 10, "B", "K", 0, 0), Ev(2, 3, "C", "K", 0, 0))
+    assert(BruteForce.evaluate(q, evs) == Set(ComplexEvent(0, 2, List(0, 2))))
+    val e = Engines.core(q)
+    evs.take(2).foreach(e.onEvent)
+    val err = intercept[IllegalArgumentException](e.onEvent(evs(2)))
+    assert(err.getMessage.contains("'K'") && err.getMessage.contains("from 5 to -2"), err.getMessage)
+    // the rejected event changed nothing: idx 2 is still free
+    assert(e.onEvent(Ev(2, 12, "C", "K", 0, 0)).isEmpty)
+    // under a count window the window start follows idx, whatever ts does
+    val counted = Engines.core(query(Cel.seqOfTypes("A", "C"), CountWindow(5)))
+    assert(evs.flatMap(counted.onEvent) == Seq(ComplexEvent(0, 2, List(0, 2))))
+  }
+
   test("expired partial matches are pruned but valid ones survive") {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(3))
     val evs = stream("A", "C", "A", "C", "C", "B") // only A@2 within 3 of B@5

@@ -210,7 +210,7 @@ class RunStateSpec extends AnyFunSuite {
     assert(err.getMessage.contains("'K1'") && err.getMessage.contains("idx 6") && err.getMessage.contains("idx 7"),
       err.getMessage)
     intercept[IllegalArgumentException](e.onEvent(Ev(7, 8, "B", "K1", 0, 0)))
-    // the rejected events changed nothing, and only idx is checked, not ts
+    // the rejected events changed nothing, and under a count window only idx is checked, not ts
     assert(e.onEvent(Ev(8, 1, "B", "K1", 0, 0)).map(_.data).toSet == Set(List(0L, 8L), List(7L, 8L)))
     assert(e.onEvent(Ev(6, 6, "B", "K2", 0, 0)).map(_.data) == List(List(5L, 6L)))
   }

@@ -1,8 +1,9 @@
 package repro.harness
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{ComplexEvent, Ev}
+import repro.core.Ev
 import repro.core.engine.{Engines, StreamEngine}
+import repro.core.tecs.MatchSink
 import repro.gen.StreamGen
 
 /** The measurement harness itself: budget handling, stream exhaustion,
@@ -28,7 +29,7 @@ class HarnessSpec extends AnyFunSuite {
 
   test("measure checks its budget after every event") {
     val slow = new StreamEngine {
-      def onEvent(ev: Ev): List[ComplexEvent] = { Thread.sleep(2); Nil }
+      def onEvent(ev: Ev, sink: MatchSink): Int = { Thread.sleep(2); 0 }
       def enumNanos: Long = 0
     }
     val m = Harness.measure("slow", "t", slow, StreamGen.cycled(evs, Long.MaxValue / 2), budgetMs = 20)
