@@ -5,8 +5,8 @@ import repro.core.ceql.Consume
 import repro.harness.Workloads
 import repro.spark.{CoreBatch, SparkStreams}
 
-/** Runs the stock queries Q1 (one ordered scan) and Q3 (PARTITION BY:
-  * groupByKey + per-key CORE engine) through the Spark dataflow layer
+/** Runs the stock queries Q1 (one ordered scan) and Q3 (PARTITION BY: one
+  * ordered scan per hash partition, a CORE run per key) through the Spark dataflow layer
   * (CoreBatch) over a distributed synthetic stock stream, and prints the
   * recognized complex events.
   *

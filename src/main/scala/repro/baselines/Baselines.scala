@@ -25,7 +25,10 @@ import scala.collection.mutable
   *
   * Per event the loop advances the stored runs, emits up to `limit` complete
   * matches that start in the window and, under `CONSUME BY ANY`, forgets every
-  * partial match once a final state is reached (§6 setup).
+  * partial match once a final state is reached (§6 setup). Its input contract
+  * is `CoreEngine`'s: an event whose `idx` is not after the last one's, or
+  * whose window start is below the last one's, is rejected before any state
+  * changes (a baseline that pruned by the later start would miss matches).
   *
   * All evaluate the same nondeterministic CEA the CORE engine determinizes,
   * so they recognize the same complex events (tests compare against
@@ -40,6 +43,9 @@ private[baselines] abstract class NfaBase(
 ) extends StreamEngine {
   private var enumNs = 0L
   def enumNanos: Long = enumNs
+  /** Position and window start of the last event; `lastIdx` is `Long.MinValue` before the first. */
+  private var lastIdx = Long.MinValue
+  private var horizon = Long.MinValue
 
   /** Steps the stored runs and `fresh`, the run starting at `j`, over the
     * event at `j`; runs that started before `tau` may be dropped. */
@@ -52,6 +58,11 @@ private[baselines] abstract class NfaBase(
     val j = ev.idx
     val now = window.clock(ev)
     val tau = now - window.epsilon
+    if (j <= lastIdx && lastIdx != Long.MinValue) throw new IllegalArgumentException(
+      s"out-of-order event: idx $j is not after the last idx $lastIdx")
+    if (tau < horizon) throw new IllegalArgumentException(
+      s"out-of-order event: idx $j moves the window start back from $horizon to $tau")
+    lastIdx = j; horizon = tau
     advance(Run(cea.q0, j, now, Nil), reg.bits(ev), j, tau)
     val t0 = System.nanoTime()
     var n = 0

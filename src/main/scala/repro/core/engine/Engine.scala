@@ -52,7 +52,7 @@ trait StreamEngine extends Serializable {
   * the determinizer), the key and the codec bytes; a deserialized engine
   * compiles a fresh determinizer.
   */
-final class CoreEngine(val plan: CompiledQuery, key: String = "") extends StreamEngine {
+final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends StreamEngine {
 
   private def window = plan.query.within
   private def strategy = plan.query.strategy
@@ -217,13 +217,14 @@ final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) e
 /** Engine factories. */
 object Engines {
 
-  /** Partition key: values of the PARTITION BY attributes, joined; the
-    * constant `""` when there are none.
+  /** Partition key: values of the PARTITION BY attributes, joined by `|`
+    * with each value's `\` and `|` escaped, so that distinct value tuples
+    * have distinct keys; the constant `""` when there are none.
     */
   def partKeyFn(attrs: Seq[String]): Ev => String = attrs match {
     case Seq()  => _ => ""
     case Seq(a) => ev => Attr.str(ev, a)
-    case _      => ev => attrs.map(a => Attr.str(ev, a)).mkString("|")
+    case _      => ev => attrs.map(a => Attr.str(ev, a).replace("\\", "\\\\").replace("|", "\\|")).mkString("|")
   }
 
   /** Build the CORE engine (with partition-by wrapper if the query has one).

@@ -1,5 +1,7 @@
 package repro.core.pred
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.col
 import repro.core.Ev
 import scala.collection.immutable.BitSet
 import scala.collection.mutable
@@ -42,6 +44,17 @@ final case class NumCmp(attr: String, op: String, value: Double) extends Atom {
 
 /** Attribute access helpers shared by predicates and partition-by keys. */
 object Attr {
+  /** The `Dataset[Ev]` column of `attr`, with the value [[str]] renders:
+    * positions and times become doubles, so events whose key strings are
+    * equal have equal columns and hash to the same Spark partition. */
+  def column(attr: String): Column = attr match {
+    case "name"               => col("name")
+    case "type"               => col("etype")
+    case "price" | "volume"   => col(attr)
+    case "ts" | "stock_time"  => col("ts").cast("double")
+    case "idx"                => col("idx").cast("double")
+    case other => throw new IllegalArgumentException(s"unknown attribute $other")
+  }
   def str(ev: Ev, attr: String): String = attr match {
     case "name"  => ev.name
     case "type"  => ev.etype

@@ -36,6 +36,10 @@ object Harness {
 
   val budgetMs: Long = sys.env.getOrElse("BENCH_MS", "1000").toLong
 
+  /** Length of a table's state pass: fixed, so that the peak state depends on
+    * the query and the stream only, not on how fast the engine ran. */
+  val StateEvents: Long = 100000L
+
   /** Drops every match: a measurement counts matches, it keeps none. */
   private val discard: MatchSink = (_, _, _, _) => ()
 
@@ -56,7 +60,8 @@ object Harness {
   /** Measures every system of every row of `t` for `budgetMs` each, on an
     * endless cycle of the row's base stream of `events` events (the paper
     * pre-loads a stream larger than any system can process in the budget).
-    * A table with `stateAndSplit` also gets each system's [[statePeakKB]].
+    * A table with `stateAndSplit` also gets each system's [[statePeakKB]]
+    * over the first [[StateEvents]] events of the cycle.
     */
   def runTable(t: Table, events: Int, budgetMs: Long): Seq[Measurement] = {
     val first = t.rows.head
@@ -74,9 +79,7 @@ object Harness {
         if (!t.stateAndSplit) m
         else {
           // Memory is measured in a separate pass, as in the paper (§6 Setup).
-          // Slow engines get fewer events so the pass stays bounded.
-          val stateEvents = math.max(20000L, math.min(100000L, (m.throughput * 0.2).toLong))
-          m.copy(stateKB = statePeakKB(mk(), endless(base), stateEvents))
+          m.copy(stateKB = statePeakKB(mk(), endless(base), StateEvents))
         }
       }
     }

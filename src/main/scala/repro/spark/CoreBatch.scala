@@ -4,7 +4,8 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
-import repro.core.engine.{CompiledQuery, Engines}
+import repro.core.engine.{CompiledQuery, CoreEngine, Engines}
+import repro.core.pred.Attr
 
 /** One recognized complex event, flattened for DataFrame output.
   * `data` is the comma-joined ascending position list.
@@ -13,17 +14,30 @@ final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
 
 /** Batch evaluation of a CEQL query over a Dataset of events, one run per
   * PARTITION BY key (§5.4), each going over its key's events in stream order,
-  * one event at a time ([[MatchRows]]). The plan is compiled once per task and
-  * shared by the runs of all its keys.
+  * one event at a time ([[MatchRows]]). Both kinds of query are one
+  * clock-ordered scan per Spark partition:
   *
-  *  - A query without PARTITION BY is a single run over the whole stream, so
-  *    it is one ordered scan: `coalesce(1)`, `sortWithinPartitions("idx")` and
-  *    one engine streaming through the sorted partition. Nothing is shuffled,
-  *    no grouping key is built and the stream is never held in an array.
-  *    `coalesce(1)` is narrow, so the narrow work upstream of the query (its
-  *    scan, projections, filters) also runs in that one task.
-  *  - A partitioned query goes through `groupByKey` on the key and
-  *    `flatMapSortedGroups` on `idx`, whose sort orders each key's events.
+  *  - Placement. A query without PARTITION BY is a single run, so its stream
+  *    is coalesced to one partition (`coalesce(1)` is narrow: nothing is
+  *    shuffled, and the narrow work upstream of the query runs in that one
+  *    task). A partitioned query is hash-partitioned on its PARTITION BY
+  *    columns ([[repro.core.pred.Attr.column]]), so all of a key's events
+  *    share a partition; Spark builds no key string.
+  *  - Order. Each partition is sorted on the window clock alone: `idx` under
+  *    a count window (or none), `ts, idx` under a time window. The scan's
+  *    clock never falls, and a key's events are in stream order (under a
+  *    time window, as long as the key's `ts` does not fall).
+  *  - Runs. One [[RunTable]] per partition holds a run per key, keyed by
+  *    [[Engines.partKeyFn]] as in the single engine, on a plan compiled once
+  *    per task and shared by all the partition's keys.
+  *
+  * The table drops a run once the scan's window start has passed its last
+  * event: every partial match of the run has expired by then. A dropped run
+  * keeps no clock, so its key's order check lapses for the key's next event,
+  * as after [[repro.core.engine.CoreEngine.restore]]; a key whose `ts` falls
+  * within the window still fails the job. With no WITHIN clause nothing
+  * expires, and a partition keeps every key's run, as
+  * [[repro.core.engine.PartitionedEngine]] does.
   */
 object CoreBatch {
 
@@ -31,14 +45,13 @@ object CoreBatch {
     val spark = events.sparkSession
     import spark.implicits._
     val plan = new CompiledQuery(q, limit)
-    if (q.partitionBy.isEmpty)
-      events.coalesce(1).sortWithinPartitions("idx").mapPartitions { it =>
-        new MatchRows("", plan.engine(""), it)
-      }
-    else
-      events.groupByKey(Engines.partKeyFn(q.partitionBy)).flatMapSortedGroups(col("idx")) {
-        (key: String, it: Iterator[Ev]) => new MatchRows(key, plan.engine(key), it)
-      }
+    val placed =
+      if (q.partitionBy.isEmpty) events.coalesce(1)
+      else events.repartition(q.partitionBy.map(Attr.column): _*)
+    val clock = if (q.within.countBased) Seq(col("idx")) else Seq(col("ts"), col("idx"))
+    placed.sortWithinPartitions(clock: _*).mapPartitions { it =>
+      new MatchRows(it, new RunTable(plan), () => ())
+    }
   }
 
   /** Expand `data` ("p1,p2,...,pn") into long columns p1..pn — the shape the
@@ -49,4 +62,39 @@ object CoreBatch {
     val cols = (1 to n).map(i => element_at(parts, i).cast("long").as(s"p$i"))
     matches.select(cols: _*)
   }
+}
+
+/** The runs of one clock-ordered scan ([[CoreBatch]]): `apply` gives each
+  * event the run of its PARTITION BY key, starting one for a key it does not
+  * hold.
+  *
+  * The scan's clock never falls, so the table keeps its runs in last-event
+  * order and, before each event, drops the oldest runs while their last clock
+  * is below the event's window start (clock − ε): `CoreEngine` skips every
+  * state whose latest start is below the window start, so such a run can
+  * match nothing again and a fresh run behaves the same. That is O(1)
+  * amortized per event and holds only the keys seen within the last ε.
+  */
+final class RunTable(plan: CompiledQuery) extends (Ev => CoreEngine) {
+  private final class Run(val engine: CoreEngine) { var last = 0L }
+
+  private val keyOf = Engines.partKeyFn(plan.query.partitionBy)
+  private val window = plan.query.within
+  /** Access-ordered: the least recently used run, the one with the lowest last clock, first. */
+  private val runs = new java.util.LinkedHashMap[String, Run](16, 0.75f, true)
+
+  def apply(ev: Ev): CoreEngine = {
+    val clock = window.clock(ev)
+    val start = clock - window.epsilon
+    val oldest = runs.values().iterator()
+    while (oldest.hasNext && oldest.next().last < start) oldest.remove()
+    val key = keyOf(ev)
+    var run = runs.get(key)
+    if (run == null) { run = new Run(plan.engine(key)); runs.put(key, run) }
+    run.last = clock
+    run.engine
+  }
+
+  /** Test hook: the number of runs held. */
+  def numRuns: Int = runs.size()
 }

@@ -5,22 +5,29 @@ import repro.core.engine.CoreEngine
 import repro.core.tecs.MatchSink
 import scala.collection.mutable.ArrayBuffer
 
-/** The match rows of one key's run over `events` (in stream order), shared by
-  * [[CoreBatch]] and [[CoreStreaming]].
+/** The match rows of `events` (in stream order), each event run by the run
+  * `runOf` gives it and each row named by that run's key; shared by
+  * [[CoreBatch]] (a [[RunTable]] of every key of a partition) and
+  * [[CoreStreaming]] (one key's run).
   *
   * Runs one event at a time, when the rows of the previous one are used up,
   * and formats each row's `data` straight from the enumerator's position
   * buffer with one reused `StringBuilder`. `onExhausted` runs once, when the
   * last row has been read.
   */
-final class MatchRows(key: String, engine: CoreEngine, events: Iterator[Ev],
-                      onExhausted: () => Unit = () => ())
+final class MatchRows(events: Iterator[Ev], runOf: Ev => CoreEngine, onExhausted: () => Unit)
     extends Iterator[MatchRow] with MatchSink {
+
+  /** The rows of one run, `engine`, whose key is `key`. */
+  def this(key: String, engine: CoreEngine, events: Iterator[Ev], onExhausted: () => Unit = () => ()) =
+    this(events, { require(engine.key == key, s"the run of key '${engine.key}' is not the run of '$key'"); (_: Ev) => engine },
+      onExhausted)
 
   private val rows = ArrayBuffer.empty[MatchRow]
   private var read = 0
   private val sb = new java.lang.StringBuilder
   private var exhausted = false
+  private var key = ""
 
   def apply(start: Long, end: Long, positions: Array[Long], from: Int): Unit = {
     sb.setLength(0)
@@ -36,7 +43,10 @@ final class MatchRows(key: String, engine: CoreEngine, events: Iterator[Ev],
   def hasNext: Boolean = {
     while (read == rows.length && events.hasNext) {
       rows.clear(); read = 0
-      engine.onEvent(events.next(), this)
+      val ev = events.next()
+      val run = runOf(ev)
+      key = run.key
+      run.onEvent(ev, this)
     }
     val more = read < rows.length
     if (!more && !exhausted) { exhausted = true; onExhausted() }

@@ -56,6 +56,30 @@ class BaselineSpec extends AnyFunSuite {
     assert(r.values.toSet.size == 1, r.toString)
   }
 
+  test("every baseline rejects an out-of-order event before changing any state, naming both positions or both starts") {
+    // A@ts0, B@ts10, C@ts3: {0, 2} is a match, but a baseline that pruned the
+    // run of A at ts10 cannot find it, so it must not answer without it
+    val q = query(Cel.seqOfTypes("A", "C"), TimeWindow(5))
+    val evs = IndexedSeq(Ev(0, 0, "A", "K", 0, 0), Ev(1, 10, "B", "K", 0, 0), Ev(2, 3, "C", "K", 0, 0))
+    assert(BruteForce.evaluate(q, evs) == Set(ComplexEvent(0, 2, List(0, 2))))
+    val wide = query(Cel.seqOfTypes("A", "C"), TimeWindow(20))
+    val engines = Seq[(String, CeqlQuery => repro.core.engine.StreamEngine)](
+      "sase" -> (Baselines.sase(_)), "esper" -> (Baselines.esper(_)), "flink" -> (Baselines.flink(_, limit = -1)))
+    for ((name, mk) <- engines) {
+      val e = mk(q)
+      evs.take(2).foreach(e.onEvent)
+      val back = intercept[IllegalArgumentException](e.onEvent(evs(2)))
+      assert(back.getMessage.contains("idx 2 moves the window start back from 5 to -2"), s"$name: ${back.getMessage}")
+      // a rejected A would start a second match of the C at idx 2
+      val w = mk(wide)
+      evs.take(2).foreach(w.onEvent)
+      val repeated = intercept[IllegalArgumentException](w.onEvent(Ev(1, 12, "A", "K", 0, 0)))
+      assert(repeated.getMessage.contains("idx 1 is not after the last idx 1"), s"$name: ${repeated.getMessage}")
+      intercept[IllegalArgumentException](w.onEvent(Ev(2, 5, "A", "K", 0, 0)))
+      assert(w.onEvent(Ev(2, 12, "C", "K", 0, 0)) == List(ComplexEvent(0, 2, List(0, 2))), name)
+    }
+  }
+
   test("property: SASE = brute force") {
     check(forAll(genCel(2), genStream, genWindow) { (f, evs, w) =>
       val q = query(f, w)

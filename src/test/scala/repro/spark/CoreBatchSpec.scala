@@ -9,7 +9,8 @@ import org.scalacheck.Prop.forAll
 import repro.{Oracle, SparkSpec}
 import repro.core.Ev
 import repro.core.ceql._
-import repro.core.engine.Engines
+import repro.core.cel.{CAtom, Cel}
+import repro.core.engine.{CompiledQuery, Engines}
 import repro.core.TestUtil.{check, genCel, genTimedStream, query, runAll}
 import repro.gen.StreamGen
 import repro.harness.Workloads
@@ -17,8 +18,9 @@ import repro.spark.SqlOracle.{AtomSpec, NumCmp, StrEq}
 
 /** CoreBatch (the Spark dataflow layer) checked against the DuckDB oracle:
   * fixed-length CEQL queries are n-way self-joins, so a wrong engine result
-  * or a broken partition-by grouping shows up as a row diff. An unpartitioned
-  * query is also checked against the single engine, and for its plan shape.
+  * or a broken partition-by grouping shows up as a row diff. Both kinds of
+  * query are also checked against the single engine and for their plan shape,
+  * and the scan's run table for what it holds and what it rejects.
   */
 class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
@@ -138,16 +140,30 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }, minTests = 30)
   }
 
+  /** Streams of up to 40 events over 2–8 `volume` keys: under a window a key's run is dropped and the key comes back. */
+  private val genKeyed = for {
+    evs <- genTimedStream(40)
+    keys <- Gen.choose(2, 8)
+    vs <- Gen.listOfN(evs.size, Gen.choose(1, keys))
+  } yield evs.zip(vs).map { case (ev, v) => ev.copy(volume = 100.0 * v) }
+
+  /** The single engine's rows over `evs`, in stream order. */
+  private def singleRows(q: CeqlQuery, limit: Int, evs: Seq[Ev]): Seq[(String, Long, Long, String)] = {
+    val keyFn = Engines.partKeyFn(q.partitionBy)
+    val single = Engines.core(q, limit)
+    evs.flatMap(ev => single.onEvent(ev).map(ce => (keyFn(ev), ce.start, ce.end, ce.data.mkString(","))))
+  }
+
+  test("property: a run table's scan of a stream in clock order gives exactly the single engine's rows") {
+    check(forAll(genQuery(Seq("volume")), Gen.oneOf(-1, 10), genKeyed) { (q, limit, evs) =>
+      new MatchRows(evs.iterator, new RunTable(new CompiledQuery(q, limit)), () => ())
+        .map(m => (m.partKey, m.start, m.end, m.data)).toSeq == singleRows(q, limit, evs)
+    }, minTests = 1000)
+  }
+
   test("property: a partitioned query gives exactly the single engine's rows, however the input is partitioned") {
-    val genKeyed = for {
-      evs <- genTimedStream(12)
-      keys <- Gen.choose(2, 3)
-      vs <- Gen.listOfN(evs.size, Gen.choose(1, keys))
-    } yield evs.zip(vs).map { case (ev, v) => ev.copy(volume = 100.0 * v) }
-    val keyFn = Engines.partKeyFn(Seq("volume"))
     check(forAll(genQuery(Seq("volume")), Gen.oneOf(-1, 10), genKeyed, Gen.long) { (q, limit, evs, seed) =>
-      val single = Engines.core(q, limit)
-      val expected = evs.flatMap(ev => single.onEvent(ev).map(ce => (keyFn(ev), ce.start, ce.end, ce.data.mkString(","))))
+      val expected = singleRows(q, limit, evs)
       Seq(1, 3, 8).forall { n =>
         CoreBatch.evaluate(scattered(evs, n, seed), q, limit).collect()
           .map(m => (m.partKey, m.start, m.end, m.data)).toSeq.sorted == expected.sorted
@@ -155,7 +171,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }, minTests = 30)
   }
 
-  test("an unpartitioned query runs without a shuffle or a grouping key; a partitioned one keeps both") {
+  test("an unpartitioned query runs without a shuffle or a grouping key; a partitioned one is shuffled on its columns, with no grouping key") {
     def nodes(q: CeqlQuery) = {
       val out = CoreBatch.evaluate(stockDs, q)
       out.collect()
@@ -166,7 +182,40 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val (q1Shuffles, q1Keys) = nodes(Workloads.stockQuery("Q1"))
     assert(q1Shuffles == 0 && q1Keys == 0)
     val (q3Shuffles, q3Keys) = nodes(Workloads.stockQuery("Q3"))
-    assert(q3Shuffles > 0 && q3Keys > 0)
+    assert(q3Shuffles > 0 && q3Keys == 0)
+  }
+
+  test("a scan's run table holds only the keys of the last window: at most 6 under a 5-event window") {
+    // a fresh volume on every event: each key's run can be dropped 5 events later
+    val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
+    val evs = StreamGen.randomStream(200, Seq("A", "B"), noise = 1).map(ev => ev.copy(volume = ev.idx.toDouble))
+    val table = new RunTable(new CompiledQuery(q, -1))
+    var peak = 0
+    val rows = new MatchRows(evs.iterator.map { ev => peak = math.max(peak, table.numRuns); ev }, table, () => ())
+    assert(rows.isEmpty) // a key has one event: no match
+    assert(peak == 6 && table.numRuns == 6, s"peak $peak, at the end ${table.numRuns}")
+  }
+
+  test("a key whose ts falls within the window fails a partitioned job with the engine's out-of-order message") {
+    val q = query(Cel.seqOfTypes("A", "B"), TimeWindow(30), partitionBy = Seq("volume"))
+    val evs = (0 until 40).map(i => Ev(i, 10L * i, if (i % 2 == 0) "A" else "B", "", 0, 100.0 * (i % 3 + 1)))
+    // key 100.0 holds idx 18 at ts 180 and idx 21, moved back from ts 210 to 175
+    val bad = evs.updated(21, evs(21).copy(ts = 175))
+    val err = intercept[Exception](CoreBatch.evaluate(scattered(bad, 3, 1L), q).collect())
+    val msgs = Iterator.iterate[Throwable](err)(_.getCause).takeWhile(_ != null).map(_.getMessage).toSeq
+    assert(msgs.exists(m => m != null && m.contains("out-of-order event for key '100.0'")), msgs.mkString("\n"))
+    // the same stream in order runs
+    assert(CoreBatch.evaluate(scattered(evs, 3, 1L), q).collect().nonEmpty)
+  }
+
+  test("distinct PARTITION BY value tuples are distinct runs, even when a value holds the key separator") {
+    // joined without escaping, both keys would read "A|B|C": one run, and {0, 1} a match
+    val q = query(Cel.seq(CAtom("C"), CAtom("B|C")), CountWindow(5), partitionBy = Seq("name", "type"))
+    val evs = Seq(Ev(0, 0, "C", "A|B", 0, 0), Ev(1, 1, "B|C", "A", 0, 0))
+    val keyFn = Engines.partKeyFn(q.partitionBy)
+    assert(keyFn(evs(0)) != keyFn(evs(1)))
+    assert(runAll(Engines.core(q), evs).isEmpty)
+    assert(CoreBatch.evaluate(scattered(evs, 2, 1L), q).collect().isEmpty)
   }
 
   test("a duplicate idx in an unpartitioned input fails the job with the engine's out-of-order message") {
