@@ -6,7 +6,6 @@ import repro.core.ceql.{CeqlQuery, Consume, Window}
 import repro.core.engine.{Engines, StreamEngine}
 import repro.core.pred.AtomRegistry
 import repro.core.tecs.MatchSink
-import scala.collection.immutable.BitSet
 import scala.collection.mutable
 
 /** Baseline CER engines (§6 comparison systems), reproduced by their
@@ -46,10 +45,12 @@ private[baselines] abstract class NfaBase(
   /** Position and window start of the last event; `lastIdx` is `Long.MinValue` before the first. */
   private var lastIdx = Long.MinValue
   private var horizon = Long.MinValue
+  /** The mask of the current event. */
+  @transient private lazy val mask = new Array[Long](reg.words)
 
   /** Steps the stored runs and `fresh`, the run starting at `j`, over the
     * event at `j`; runs that started before `tau` may be dropped. */
-  protected def advance(fresh: Run, bits: BitSet, j: Long, tau: Long): Unit
+  protected def advance(fresh: Run, mask: Array[Long], j: Long, tau: Long): Unit
   /** The buffers of stored runs that may be complete, in emission order. */
   protected def candidates: Iterator[mutable.ArrayBuffer[Run]]
   protected def clear(): Unit
@@ -63,7 +64,7 @@ private[baselines] abstract class NfaBase(
     if (tau < horizon) throw new IllegalArgumentException(
       s"out-of-order event: idx $j moves the window start back from $horizon to $tau")
     lastIdx = j; horizon = tau
-    advance(Run(cea.q0, j, now, Nil), reg.bits(ev), j, tau)
+    advance(Run(cea.q0, j, now, Nil), reg.mask(ev, mask), j, tau)
     val t0 = System.nanoTime()
     var n = 0
     var anyFinal = false
@@ -110,24 +111,24 @@ private[baselines] abstract class RunList(cea: Cea, reg: AtomRegistry, window: W
   private var sinceLastPrune = 0
   def numRuns: Int = runs.size
 
-  protected def advance(fresh: Run, bits: BitSet, j: Long, tau: Long): Unit = {
+  protected def advance(fresh: Run, mask: Array[Long], j: Long, tau: Long): Unit = {
     val next = mutable.ArrayBuffer.empty[Run]
     // A new run may start at any position.
-    next ++= step(fresh, bits, j)
+    next ++= step(fresh, mask, j)
     sinceLastPrune += 1
     val prune = sinceLastPrune >= pruneEvery
     if (prune) sinceLastPrune = 0
     var i = 0
     while (i < runs.length) {
       val r = runs(i)
-      if (!prune || r.startVal >= tau) next ++= step(r, bits, j)
+      if (!prune || r.startVal >= tau) next ++= step(r, mask, j)
       i += 1
     }
     runs = next
   }
 
-  private def step(r: Run, bits: BitSet, j: Long): Iterator[Run] =
-    cea.bySource(r.state).iterator.filter(_.pred.eval(bits)).map(r.step(_, j))
+  private def step(r: Run, mask: Array[Long], j: Long): Iterator[Run] =
+    cea.bySource(r.state).iterator.filter(_.pred.eval(mask)).map(r.step(_, j))
 
   protected def candidates: Iterator[mutable.ArrayBuffer[Run]] = Iterator.single(runs)
   protected def clear(): Unit = runs.clear()
@@ -148,13 +149,13 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
   private var buckets = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
   def numRuns: Int = buckets.valuesIterator.map(_.size).sum
 
-  protected def advance(fresh: Run, bits: BitSet, j: Long, tau: Long): Unit = {
+  protected def advance(fresh: Run, mask: Array[Long], j: Long, tau: Long): Unit = {
     val next = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
     def put(state: Int, rs: Iterator[Run]): Unit =
       next.getOrElseUpdate(state, mutable.ArrayBuffer.empty[Run]) ++= rs
-    for (tr <- cea.bySource(cea.q0) if tr.pred.eval(bits))
+    for (tr <- cea.bySource(cea.q0) if tr.pred.eval(mask))
       put(tr.to, Iterator.single(fresh.step(tr, j)))
-    for ((state, b) <- buckets; tr <- cea.bySource(state) if tr.pred.eval(bits)) {
+    for ((state, b) <- buckets; tr <- cea.bySource(state) if tr.pred.eval(mask)) {
       val survivors = b.iterator.filter(_.startVal >= tau)
       put(tr.to, survivors.map(_.step(tr, j)))
     }

@@ -15,7 +15,7 @@ object BruteForce {
   /** All complex events of `[[A]]^ε(S)` (deduplicated). */
   def evaluate(cea: Cea, reg: AtomRegistry, stream: IndexedSeq[Ev], window: Window): Set[ComplexEvent] = {
     val out = mutable.Set.empty[ComplexEvent]
-    val bits = stream.map(reg.bits)
+    val masks = stream.map(ev => reg.mask(ev))
     for (start <- stream.indices) {
       val startVal = if (window.countBased) stream(start).idx else stream(start).ts
       def dfs(state: Int, k: Int, marked: List[Long]): Unit = {
@@ -25,7 +25,7 @@ object BruteForce {
             out += ComplexEvent.of(stream(start).idx, stream(k - 1).idx, marked)
         }
         if (k < stream.length) {
-          for (tr <- cea.bySource(state) if tr.pred.eval(bits(k))) {
+          for (tr <- cea.bySource(state) if tr.pred.eval(masks(k))) {
             dfs(tr.to, k + 1, if (tr.mark) stream(k).idx :: marked else marked)
           }
         }

@@ -5,8 +5,6 @@ import repro.core.cea.Determinizer
 import repro.core.ceql._
 import repro.core.pred.Attr
 import repro.core.tecs._
-import scala.collection.mutable
-import scala.jdk.CollectionConverters._
 
 /** Common interface of all engines (CORE + the three baselines): push one
   * event; the complex events recognized at its position (up to the configured
@@ -61,7 +59,9 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
   def det: Determinizer = plan.det
 
   /** Active det-states → union-lists, in insertion order (ordered-keys(T)). */
-  @transient private var t = new java.util.LinkedHashMap[Int, UnionList]()
+  @transient private var t = new StateTable
+  /** The table the current event fills, empty between events; swapped with `t` after each event. */
+  @transient private var tNew = new StateTable
   /** The window clock: `idx` of the last event, [[RunState.NoClock]] before the first. */
   @transient private var lastIdx = RunState.NoClock
   /** Window start of the last event: lower start values can match no later event. */
@@ -72,13 +72,13 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
   @transient private lazy val maxSink = new ListSink
 
   def enumNanos: Long = enumNs
-  def activeStates: Int = t.size()
+  def activeStates: Int = t.size
 
   /** Test hook: the active union-lists in insertion order. */
-  def unionListsForTest: Seq[UnionList] = t.values().asScala.toSeq
+  def unionListsForTest: Seq[UnionList] = (0 until t.size).map(t.list)
 
   /** Test hook: the NFA-state sets of the active det-states, in insertion order. */
-  def activeStateSetsForTest: Seq[List[Int]] = t.keySet().asScala.toSeq.map(det.stateSet(_).toList)
+  def activeStateSetsForTest: Seq[List[Int]] = (0 until t.size).map(i => det.stateSet(t.state(i)).toList)
 
   /** The run state, encoded by [[RunState]]: no part of the plan. */
   def snapshot(): Array[Byte] = RunState.encode(det, t, lastIdx, horizon)
@@ -102,6 +102,7 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     in.defaultReadObject()
     val state = new Array[Byte](in.readInt())
     in.readFully(state)
+    tNew = new StateTable
     restore(state)
   }
 
@@ -110,24 +111,28 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     val now = window.clock(ev)
     val tau = now - window.epsilon
     advance(j, tau)
-    val v = det.bits(ev)
-    val tNew = new java.util.LinkedHashMap[Int, UnionList]()
+    val d = det
+    val v = d.letter(ev)
 
     // Lines 7–8: a run may start at the current position.
-    execTrans(det.initial, UnionList.single(Tecs.newBottom(j, now)), v, j, tNew)
+    val fresh = d.step(d.initial, v)
+    if (fresh == Determinizer.NoStep && t.isEmpty) return 0
+    if (fresh != Determinizer.NoStep) execTrans(fresh, Tecs.newBottom(j, now), null, j)
 
     // Lines 9–10: extend runs of states active at j-1, in insertion order
     // (which the appendix proves is decreasing max-start order).
-    val it = t.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      val ul = e.getValue
+    var i = 0
+    while (i < t.size) {
+      val ul = t.list(i)
       if (ul.maxStart >= tau) { // expired states can never produce a match again
         ul.pruneExpired(tau)
-        execTrans(e.getKey, ul, v, j, tNew)
+        val s = d.step(t.state(i), v)
+        if (s != Determinizer.NoStep) execTrans(s, ul.merge(), ul, j)
       }
+      i += 1
     }
-    t = tNew
+    val done = t
+    done.clear(); t = tNew; tNew = done
 
     output(j, tau, sink)
   }
@@ -143,29 +148,31 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     lastIdx = j; horizon = tau
   }
 
-  /** ExecTrans (Algorithm 1 lines 13–20). */
-  private def execTrans(p: Int, ul: UnionList, v: scala.collection.immutable.BitSet,
-                        j: Long, tNew: java.util.LinkedHashMap[Int, UnionList]): Unit = {
-    val (qm, qu) = det.step(p, v)
-    if (qm < 0 && qu < 0) return
-    val n = ul.merge()
-    if (qm >= 0) {
-      val np = Tecs.extend(n, j)
-      add(tNew, qm, np, UnionList.single(np))
-    }
-    if (qu >= 0) add(tNew, qu, n, ul)
+  /** ExecTrans (Algorithm 1 lines 13–20) for the packed step `s` of a state
+    * whose union-list `ul` merges to `n`; a fresh run has only its bottom node
+    * `n`, and `ul` is null.
+    */
+  private def execTrans(s: Long, n: Node, ul: UnionList, j: Long): Unit = {
+    val qm = Determinizer.mark(s)
+    val qu = Determinizer.unmark(s)
+    if (qm >= 0) add(qm, Tecs.extend(n, j), null)
+    if (qu >= 0) add(qu, n, ul)
   }
 
-  /** Add (Algorithm 1 lines 22–27), with the NEXT/LAST retention variants. */
-  private def add(tNew: java.util.LinkedHashMap[Int, UnionList], q: Int,
-                  n: Node, ul: => UnionList): Unit = strategy match {
-    case Strategy.All | Strategy.Max =>
-      val existing = tNew.get(q)
-      if (existing != null) existing.insert(n) else tNew.put(q, ul)
-    case Strategy.Last => // latest start wins: states are processed in decreasing
-      if (!tNew.containsKey(q)) tNew.put(q, ul) // max-start order, so the first add wins
-    case Strategy.Next => // earliest start wins: the last add wins
-      tNew.put(q, ul)
+  /** Add (Algorithm 1 lines 22–27), with the NEXT/LAST retention variants:
+    * `n` goes to state `q`, as the new list `ul` (a new list of `n` if null)
+    * when `q` has none yet.
+    */
+  private def add(q: Int, n: Node, ul: UnionList): Unit = {
+    val existing = tNew.get(q)
+    if (existing == null) tNew.append(q, if (ul != null) ul else UnionList.single(n))
+    else strategy match {
+      case Strategy.All | Strategy.Max => existing.insert(n)
+      case Strategy.Last => // latest start wins: states are processed in decreasing
+                            // max-start order, so the first add wins
+      case Strategy.Next => // earliest start wins: the last add wins, in the first one's place
+        tNew.replace(q, if (ul != null) ul else UnionList.single(n))
+    }
   }
 
   /** Output (Algorithm 1 lines 29–33): enumerate matches at final states.
@@ -177,17 +184,17 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     val cap = if (max && limit != 0) -1 else limit
     var found = 0
     var anyFinal = false
-    val it = t.entrySet().iterator()
-    while (it.hasNext) {
-      val e = it.next()
-      if (det.isFinal(e.getKey)) {
+    var i = 0
+    while (i < t.size) {
+      if (det.isFinal(t.state(i))) {
         anyFinal = true
         if (cap < 0 || found < cap) {
           val t0 = System.nanoTime()
-          found += cursor.run(e.getValue.merge(), j, tau, if (cap < 0) -1 else cap - found, if (max) maxSink else sink)
+          found += cursor.run(t.list(i).merge(), j, tau, if (cap < 0) -1 else cap - found, if (max) maxSink else sink)
           enumNs += System.nanoTime() - t0
         }
       }
+      i += 1
     }
     if (max && found > 0) {
       val kept = Engines.maximalOnly(maxSink.result()).take(if (limit < 0) Int.MaxValue else limit)
@@ -197,21 +204,29 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     // Consumption policy: forget every partial match once a complex event is
     // recognized. A final state was reached even if limit = 0 suppressed the
     // enumeration, so we key on reaching a final state, not on emitted output.
-    if (consume == Consume.Any && anyFinal)
-      t = new java.util.LinkedHashMap[Int, UnionList]()
+    if (consume == Consume.Any && anyFinal) t.clear()
     found
   }
 }
 
 /** Runs one engine instance per partition-by key (§5.4): the stream is hashed
-  * on the PARTITION BY attributes and each substream gets its own run.
+  * on the PARTITION BY attributes' values ([[Engines.runKeyFn]]) and each
+  * substream gets its own run, named by its key rendered once
+  * ([[Engines.partKeyFn]]).
   */
-final class PartitionedEngine(mk: String => StreamEngine, keyFn: Ev => String) extends StreamEngine {
-  private val engines = mutable.HashMap.empty[String, StreamEngine]
+final class PartitionedEngine(mk: String => StreamEngine, attrs: Seq[String]) extends StreamEngine {
+  private val runKey = Engines.runKeyFn(attrs)
+  private val partKey = Engines.partKeyFn(attrs)
+  private val engines = new java.util.HashMap[AnyRef, StreamEngine]()
   def onEvent(ev: Ev, sink: MatchSink): Int = {
-    val key = keyFn(ev); engines.getOrElseUpdate(key, mk(key)).onEvent(ev, sink)
+    val k = runKey(ev)
+    var e = engines.get(k)
+    if (e == null) { e = mk(partKey(ev)); engines.put(k, e) }
+    e.onEvent(ev, sink)
   }
-  def enumNanos: Long = engines.valuesIterator.map(_.enumNanos).sum
+  def enumNanos: Long = { var n = 0L; engines.values().forEach(e => n += e.enumNanos); n }
+  /** Test hook: the number of runs held. */
+  def numRuns: Int = engines.size()
 }
 
 /** Engine factories. */
@@ -219,12 +234,24 @@ object Engines {
 
   /** Partition key: values of the PARTITION BY attributes, joined by `|`
     * with each value's `\` and `|` escaped, so that distinct value tuples
-    * have distinct keys; the constant `""` when there are none.
+    * have distinct keys; the constant `""` when there are none. It names a
+    * run ([[CoreEngine.key]], `MatchRow.partKey`) and is rendered once per run.
     */
   def partKeyFn(attrs: Seq[String]): Ev => String = attrs match {
     case Seq()  => _ => ""
     case Seq(a) => ev => Attr.str(ev, a)
     case _      => ev => attrs.map(a => Attr.str(ev, a).replace("\\", "\\\\").replace("|", "\\|")).mkString("|")
+  }
+
+  /** The key runs are held under: the PARTITION BY attributes' values
+    * ([[Attr.key]]), one value or a list of them, with no string built per
+    * event; the constant `""` when there are none. Two events have equal
+    * keys exactly when their [[partKeyFn]] keys are equal.
+    */
+  def runKeyFn(attrs: Seq[String]): Ev => AnyRef = attrs match {
+    case Seq()  => _ => ""
+    case Seq(a) => Attr.key(a)
+    case _      => val keys = attrs.toList.map(Attr.key); ev => keys.map(_(ev))
   }
 
   /** Build the CORE engine (with partition-by wrapper if the query has one).
@@ -238,7 +265,7 @@ object Engines {
 
   /** One run from `run` per PARTITION BY key of `q`, or a single run if it has none. */
   def perKey(q: CeqlQuery, run: String => StreamEngine): StreamEngine =
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(run, partKeyFn(q.partitionBy)) else run("")
+    if (q.partitionBy.nonEmpty) new PartitionedEngine(run, q.partitionBy) else run("")
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */
   def maximalOnly(ms: List[ComplexEvent]): List[ComplexEvent] = {

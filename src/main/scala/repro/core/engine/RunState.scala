@@ -52,15 +52,15 @@ object RunState {
   private final val OutputKind = 1
   private final val UnionKind = 2
 
-  def encode(det: Determinizer, table: java.util.LinkedHashMap[Int, UnionList], lastIdx: Long,
-             horizon: Long): Array[Byte] = {
+  def encode(det: Determinizer, table: StateTable, lastIdx: Long, horizon: Long): Array[Byte] = {
     val out = new Out
     out.byte(Version)
     if (lastIdx == NoClock) out.byte(0) else { out.byte(1); out.zigzag(lastIdx) }
     val clock = if (lastIdx == NoClock) 0L else lastIdx
     val live = ArrayBuffer.empty[(Int, Seq[Node])]
     // entries after the head have decreasing max-starts, none above the head's
-    table.forEach((p, ul) => if (ul.maxStart >= horizon) live += ((p, ul.toSeq.takeWhile(_.max >= horizon))))
+    for (i <- 0 until table.size; ul = table.list(i) if ul.maxStart >= horizon)
+      live += ((table.state(i), ul.toSeq.takeWhile(_.max >= horizon)))
     val index = new java.util.IdentityHashMap[Node, Integer]()
     val order = ArrayBuffer.empty[Node]
     for ((_, entries) <- live; n <- entries) flatten(n, horizon, index, order)
@@ -88,7 +88,7 @@ object RunState {
 
   /** Decodes `bytes` against `det`, interning any det-state it has not seen;
     * rejects union-lists and unions that are not time-ordered (§5.1, §5.2). */
-  def decode(det: Determinizer, bytes: Array[Byte]): (java.util.LinkedHashMap[Int, UnionList], Long) = {
+  def decode(det: Determinizer, bytes: Array[Byte]): (StateTable, Long) = {
     val in = new In(bytes)
     val version = in.byte()
     if (version != Version)
@@ -119,7 +119,7 @@ object RunState {
       }
       i += 1
     }
-    val table = new java.util.LinkedHashMap[Int, UnionList]()
+    val table = new StateTable
     var s = in.count("active states")
     while (s > 0) {
       val set = new Array[Int](in.count("NFA states"))
@@ -127,13 +127,13 @@ object RunState {
       while (k < set.length) { set(k) = (if (k == 0) 0 else set(k - 1)) + in.int("NFA state"); k += 1 }
       val p = in.checked(det.detState(set))
       val len = in.count("union-list entries")
-      if (len == 0 || table.containsKey(p)) throw in.corrupt(s"active state ${set.mkString("{", ",", "}")}")
+      if (len == 0 || table.get(p) != null) throw in.corrupt(s"active state ${set.mkString("{", ",", "}")}")
       val entries = Seq.fill(len) {
         val n = in.int("node index")
         if (n >= nodes.length) throw in.corrupt(s"node index $n of ${nodes.length}")
         nodes(n)
       }
-      table.put(p, in.checked(UnionList.of(entries)))
+      table.append(p, in.checked(UnionList.of(entries)))
       s -= 1
     }
     if (!in.atEnd) throw in.corrupt("trailing bytes")

@@ -27,9 +27,10 @@ final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
   *    a count window (or none), `ts, idx` under a time window. The scan's
   *    clock never falls, and a key's events are in stream order (under a
   *    time window, as long as the key's `ts` does not fall).
-  *  - Runs. One [[RunTable]] per partition holds a run per key, keyed by
-  *    [[Engines.partKeyFn]] as in the single engine, on a plan compiled once
-  *    per task and shared by all the partition's keys.
+  *  - Runs. One [[RunTable]] per partition holds a run per key, keyed on the
+  *    attribute values ([[Engines.runKeyFn]]) as in the single engine and
+  *    named by [[Engines.partKeyFn]], on a plan compiled once per task and
+  *    shared by all the partition's keys.
   *
   * The table drops a run once the scan's window start has passed its last
   * event: every partial match of the run has expired by then. A dropped run
@@ -78,19 +79,20 @@ object CoreBatch {
 final class RunTable(plan: CompiledQuery) extends (Ev => CoreEngine) {
   private final class Run(val engine: CoreEngine) { var last = 0L }
 
-  private val keyOf = Engines.partKeyFn(plan.query.partitionBy)
+  private val runKey = Engines.runKeyFn(plan.query.partitionBy)
+  private val partKey = Engines.partKeyFn(plan.query.partitionBy)
   private val window = plan.query.within
   /** Access-ordered: the least recently used run, the one with the lowest last clock, first. */
-  private val runs = new java.util.LinkedHashMap[String, Run](16, 0.75f, true)
+  private val runs = new java.util.LinkedHashMap[AnyRef, Run](16, 0.75f, true)
 
   def apply(ev: Ev): CoreEngine = {
     val clock = window.clock(ev)
     val start = clock - window.epsilon
     val oldest = runs.values().iterator()
     while (oldest.hasNext && oldest.next().last < start) oldest.remove()
-    val key = keyOf(ev)
+    val key = runKey(ev)
     var run = runs.get(key)
-    if (run == null) { run = new Run(plan.engine(key)); runs.put(key, run) }
+    if (run == null) { run = new Run(plan.engine(partKey(ev))); runs.put(key, run) }
     run.last = clock
     run.engine
   }

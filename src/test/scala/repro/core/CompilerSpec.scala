@@ -46,7 +46,7 @@ class CompilerSpec extends AnyFunSuite {
   test("marking transitions carry the atom's type predicate") {
     val (cea, reg) = Compiler.compile(CAtom("A"))
     val ev = stream("A").head
-    val bits = reg.bits(ev)
+    val bits = reg.mask(ev)
     assert(cea.trans.filter(_.from == cea.q0).forall(t => t.pred.eval(bits) && t.mark))
   }
 
@@ -54,7 +54,7 @@ class CompilerSpec extends AnyFunSuite {
     val f = CFilter(CAs(CAtom("A"), "x"), "x", NumCmp("price", ">", 5.0))
     val (cea, reg) = Compiler.compile(f)
     val cheap = stream("A").head // price 0
-    assert(cea.trans.filter(_.from == cea.q0).forall(t => !t.pred.eval(reg.bits(cheap))))
+    assert(cea.trans.filter(_.from == cea.q0).forall(t => !t.pred.eval(reg.mask(cheap))))
   }
 
   test("projection unmarks dropped variables") {

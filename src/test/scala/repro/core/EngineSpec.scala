@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Prop.forAll
 import repro.core.cel._
 import repro.core.ceql._
-import repro.core.engine.{BruteForce, CoreEngine, Engines}
+import repro.core.engine.{BruteForce, CoreEngine, Engines, PartitionedEngine}
 import repro.core.pred.{NumCmp, StrEq}
 import repro.core.TestUtil._
 
@@ -265,6 +265,33 @@ class EngineSpec extends AnyFunSuite {
     val evs = stream("A", "A", "A")
     // all same name NA → all pairs
     assert(coreMatches(q, evs).size == 3)
+  }
+
+  test("partition-by keys on values: volume 0.0 and -0.0 are two runs, as their keys differ") {
+    val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
+    val evs = Seq(Ev(0, 0, "A", "", 0, 0.0), Ev(1, 1, "B", "", 0, -0.0), Ev(2, 2, "B", "", 0, 0.0))
+    val e = Engines.core(q).asInstanceOf[PartitionedEngine]
+    assert(runAll(e, evs) == List(ComplexEvent(0, 2, List(0, 2))))
+    assert(e.numRuns == 2)
+    assert(evs.map(Engines.partKeyFn(q.partitionBy)) == Seq("0.0", "-0.0", "0.0"))
+  }
+
+  test("a query over more than 64 distinct atoms gives brute force's matches") {
+    // 40 branches of `Ti AS x FILTER x[price < i]`: 80 atoms, so masks take two words
+    val types = (0 until 40).map(i => s"T$i")
+    val branches = types.zipWithIndex.map { case (t, i) =>
+      CFilter(CAs(CAtom(t), "x"), "x", NumCmp("price", "<", i.toDouble)): Cel
+    }
+    val f = CSeq(branches.reduce(COr), CAs(CAtom("B"), "y"))
+    val q = query(f, CountWindow(3))
+    assert(repro.core.cea.Compiler.compile(q.pattern)._2.size == 81)
+    val rnd = new scala.util.Random(11)
+    val evs = (0 until 300).map { i =>
+      Ev(i, i, if (rnd.nextInt(4) == 0) "B" else types(rnd.nextInt(types.size)), "", rnd.nextInt(45).toDouble, 0)
+    }
+    val got = coreMatches(q, evs)
+    assert(got.nonEmpty)
+    assert(got == BruteForce.evaluate(q, evs))
   }
 
   // --------------------------------------------------------- property tests

@@ -1,6 +1,9 @@
 package repro.core
 
+import org.scalacheck.Gen
+import org.scalacheck.Prop.forAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.TestUtil._
 import repro.core.pred._
 import scala.collection.immutable.BitSet
 
@@ -62,17 +65,48 @@ class PredSpec extends AnyFunSuite {
     val a = reg.intern(TypeIs("SELL"))
     val b = reg.intern(TypeIs("BUY"))
     val c = reg.intern(NumCmp("price", ">", 20.0))
-    assert(reg.bits(ev) == BitSet(a, c))
+    assert(BitSet.fromBitMask(reg.mask(ev)) == BitSet(a, c))
   }
 
   test("PredExpr evaluation over bit vectors") {
-    val bits = BitSet(0, 2)
+    val bits = BitSet(0, 2).toBitMask
     assert(PAtom(0).eval(bits) && !PAtom(1).eval(bits))
     assert(PAnd(PAtom(0), PAtom(2)).eval(bits))
     assert(!PAnd(PAtom(0), PAtom(1)).eval(bits))
     assert(POr(PAtom(1), PAtom(2)).eval(bits))
     assert(PNot(PAtom(1)).eval(bits))
     assert(PTrue.eval(bits) && !PFalse.eval(bits))
+  }
+
+  private val genEv: Gen[Ev] = for {
+    idx <- Gen.choose(0L, 50L)
+    ts <- Gen.choose(0L, 50L)
+    t <- Gen.oneOf("A", "B", "C")
+    n <- Gen.oneOf("", "MSFT", "ORCL")
+    price <- Gen.oneOf(Gen.choose(0, 20).map(_.toDouble), Gen.oneOf(-0.0, 0.0, 2.5))
+    volume <- Gen.oneOf(-0.0, 0.0, 100.0, 200.0)
+  } yield Ev(idx, ts, t, n, price, volume)
+
+  private val genAtom: Gen[Atom] = Gen.oneOf(
+    Gen.oneOf("A", "B", "C", "D").map(TypeIs),
+    for { a <- Gen.oneOf("name", "type", "volume"); v <- Gen.oneOf("", "A", "MSFT", "0.0", "-0.0", "100.0") } yield StrEq(a, v),
+    for {
+      a <- Gen.oneOf("price", "volume", "ts", "stock_time", "idx")
+      op <- Gen.oneOf("<", "<=", ">", ">=", "=", "!=")
+      v <- Gen.oneOf(Gen.choose(0, 20).map(_.toDouble), Gen.oneOf(-0.0, 0.0, 2.5, 100.0))
+    } yield NumCmp(a, op, v))
+
+  test("property: bit i of an event's mask is atom i's value, in one word and in several") {
+    check(forAll(Gen.oneOf(Gen.choose(1, 64), Gen.choose(65, 200)).flatMap(Gen.listOfN(_, genAtom)),
+                 Gen.listOfN(20, genEv)) { (atoms, evs) =>
+      val reg = new AtomRegistry
+      atoms.foreach(reg.intern)
+      val out = new Array[Long](reg.words)
+      reg.words == math.max(1, (reg.size + 63) / 64) && evs.forall { ev =>
+        val m = reg.mask(ev, out)
+        (0 until 64 * reg.words).forall(i => AtomRegistry.has(m, i) == (i < reg.size && reg.atom(i).eval(ev)))
+      }
+    }, minTests = 200)
   }
 
   test("each atomic predicate is evaluated once per event (registry size)") {

@@ -196,6 +196,15 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(peak == 6 && table.numRuns == 6, s"peak $peak, at the end ${table.numRuns}")
   }
 
+  test("a scan's run table keys on values: volume 0.0 and -0.0 are two runs, whose rows carry their own keys") {
+    val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
+    val evs = Seq(Ev(0, 0, "A", "", 0, 0.0), Ev(1, 1, "A", "", 0, -0.0), Ev(2, 2, "B", "", 0, -0.0), Ev(3, 3, "B", "", 0, 0.0))
+    val table = new RunTable(new CompiledQuery(q, -1))
+    val rows = new MatchRows(evs.iterator, table, () => ()).map(m => (m.partKey, m.start, m.end, m.data)).toList
+    assert(rows == List(("-0.0", 1L, 2L, "1,2"), ("0.0", 0L, 3L, "0,3")))
+    assert(table.numRuns == 2)
+  }
+
   test("a key whose ts falls within the window fails a partitioned job with the engine's out-of-order message") {
     val q = query(Cel.seqOfTypes("A", "B"), TimeWindow(30), partitionBy = Seq("volume"))
     val evs = (0 until 40).map(i => Ev(i, 10L * i, if (i % 2 == 0) "A" else "B", "", 0, 100.0 * (i % 3 + 1)))
