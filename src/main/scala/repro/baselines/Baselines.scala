@@ -3,7 +3,7 @@ package repro.baselines
 import repro.core.Ev
 import repro.core.cea.{Cea, CTrans, Compiler}
 import repro.core.ceql.{CeqlQuery, Consume, Window}
-import repro.core.engine.{Engines, StreamEngine}
+import repro.core.engine.{Engines, KeyedRun, RunClock, StreamEngine}
 import repro.core.pred.AtomRegistry
 import repro.core.tecs.MatchSink
 import scala.collection.mutable
@@ -25,9 +25,9 @@ import scala.collection.mutable
   * Per event the loop advances the stored runs, emits up to `limit` complete
   * matches that start in the window and, under `CONSUME BY ANY`, forgets every
   * partial match once a final state is reached (§6 setup). Its input contract
-  * is `CoreEngine`'s: an event whose `idx` is not after the last one's, or
-  * whose window start is below the last one's, is rejected before any state
-  * changes (a baseline that pruned by the later start would miss matches).
+  * is `CoreEngine`'s, kept by the [[RunClock]] of the run's PARTITION BY key
+  * `key`: an event that breaks it is rejected before any state changes (a
+  * baseline that pruned by a later window start would miss matches).
   *
   * All evaluate the same nondeterministic CEA the CORE engine determinizes,
   * so they recognize the same complex events (tests compare against
@@ -38,13 +38,11 @@ import scala.collection.mutable
   */
 private[baselines] abstract class NfaBase(
     val cea: Cea, val reg: AtomRegistry, window: Window,
-    consume: Consume, limit: Int,
-) extends StreamEngine {
+    consume: Consume, limit: Int, key: String,
+) extends KeyedRun {
   private var enumNs = 0L
   def enumNanos: Long = enumNs
-  /** Position and window start of the last event; `lastIdx` is `Long.MinValue` before the first. */
-  private var lastIdx = Long.MinValue
-  private var horizon = Long.MinValue
+  val clock = new RunClock(key)
   /** The mask of the current event. */
   @transient private lazy val mask = new Array[Long](reg.words)
 
@@ -59,11 +57,7 @@ private[baselines] abstract class NfaBase(
     val j = ev.idx
     val now = window.clock(ev)
     val tau = now - window.epsilon
-    if (j <= lastIdx && lastIdx != Long.MinValue) throw new IllegalArgumentException(
-      s"out-of-order event: idx $j is not after the last idx $lastIdx")
-    if (tau < horizon) throw new IllegalArgumentException(
-      s"out-of-order event: idx $j moves the window start back from $horizon to $tau")
-    lastIdx = j; horizon = tau
+    clock.advance(j, tau)
     advance(Run(cea.q0, j, now, Nil), reg.mask(ev, mask), j, tau)
     val t0 = System.nanoTime()
     var n = 0
@@ -105,8 +99,8 @@ private[baselines] final case class Run(state: Int, startIdx: Long, startVal: Lo
 
 /** SASE's and FlinkCEP's store: a run list, pruned of expired runs every `pruneEvery` events. */
 private[baselines] abstract class RunList(cea: Cea, reg: AtomRegistry, window: Window,
-                                          consume: Consume, limit: Int, pruneEvery: Int)
-    extends NfaBase(cea, reg, window, consume, limit) {
+                                          consume: Consume, limit: Int, key: String, pruneEvery: Int)
+    extends NfaBase(cea, reg, window, consume, limit, key) {
   private var runs = mutable.ArrayBuffer.empty[Run]
   private var sinceLastPrune = 0
   def numRuns: Int = runs.size
@@ -136,16 +130,16 @@ private[baselines] abstract class RunList(cea: Cea, reg: AtomRegistry, window: W
 
 /** SASE-like: explicit run list, pruned every event. */
 final class SaseEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                       consume: Consume, limit: Int)
-    extends RunList(cea, reg, window, consume, limit, pruneEvery = 1)
+                       consume: Consume, limit: Int, key: String = "")
+    extends RunList(cea, reg, window, consume, limit, key, pruneEvery = 1)
 
 /** Esper-like: partial matches bucketed per state; a transition's predicate is
   * evaluated once per bucket and applied to every match in it (delta-network
   * style propagation).
   */
 final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                        consume: Consume, limit: Int)
-    extends NfaBase(cea, reg, window, consume, limit) {
+                        consume: Consume, limit: Int, key: String = "")
+    extends NfaBase(cea, reg, window, consume, limit, key) {
   private var buckets = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
   def numRuns: Int = buckets.valuesIterator.map(_.size).sum
 
@@ -170,20 +164,21 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
   * events (watermark-style), so the live run set is larger than SASE's
   * between boundaries. */
 final class FlinkCepEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                           consume: Consume, limit: Int)
-    extends RunList(cea, reg, window, consume, limit, pruneEvery = 64)
+                           consume: Consume, limit: Int, key: String = "")
+    extends RunList(cea, reg, window, consume, limit, key, pruneEvery = 64)
 
 /** Factories mirroring [[repro.core.engine.Engines.core]]. */
 object Baselines {
-  private def build(q: CeqlQuery, mk: (Cea, AtomRegistry) => StreamEngine): StreamEngine = {
+  /** One run per PARTITION BY key, each given its key, on a CEA compiled once. */
+  private def build(q: CeqlQuery, mk: (Cea, AtomRegistry, String) => NfaBase): StreamEngine = {
     val (cea, reg) = Compiler.compile(q.pattern)
-    Engines.perKey(q, _ => mk(cea, reg))
+    Engines.perKey(q, mk(cea, reg, _))
   }
   def sase(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, new SaseEngine(_, _, q.within, q.consume, limit))
+    build(q, new SaseEngine(_, _, q.within, q.consume, limit, _))
   def esper(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, new EsperEngine(_, _, q.within, q.consume, limit))
+    build(q, new EsperEngine(_, _, q.within, q.consume, limit, _))
   /** The paper only prints the first match for FlinkCEP (Fig 7 footnote). */
   def flink(q: CeqlQuery, limit: Int = 1): StreamEngine =
-    build(q, new FlinkCepEngine(_, _, q.within, q.consume, limit))
+    build(q, new FlinkCepEngine(_, _, q.within, q.consume, limit, _))
 }

@@ -39,10 +39,10 @@ trait StreamEngine extends Serializable {
   * (§6 uses 10); `limit = 0` measures pure update throughput; `limit < 0` =
   * unlimited. `key` is the PARTITION BY key of the substream, named in errors.
   *
-  * Input contract: each event's `idx` must be above the last one's and its
-  * window start (clock − ε) not below it, or `onEvent` throws without changing
-  * the state. Under a time window `ts` may not fall; the codec keeps no window
-  * start, so that check lapses for the first event after [[restore]].
+  * Input contract: the [[RunClock]]'s (`idx` rises, the window start does not
+  * fall), or `onEvent` throws without changing the state. Under a time window
+  * `ts` may not fall; the codec keeps no window start, so that check lapses for
+  * the first event after [[restore]].
   *
   * The run state — active-state table, tECS and window clock — is kept apart
   * from the plan: [[snapshot]] / [[restore]] move it through the [[RunState]]
@@ -50,7 +50,7 @@ trait StreamEngine extends Serializable {
   * the determinizer), the key and the codec bytes; a deserialized engine
   * compiles a fresh determinizer.
   */
-final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends StreamEngine {
+final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends KeyedRun {
 
   private def window = plan.query.within
   private def strategy = plan.query.strategy
@@ -62,16 +62,15 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
   @transient private var t = new StateTable
   /** The table the current event fills, empty between events; swapped with `t` after each event. */
   @transient private var tNew = new StateTable
-  /** The window clock: `idx` of the last event, [[RunState.NoClock]] before the first. */
-  @transient private var lastIdx = RunState.NoClock
-  /** Window start of the last event: lower start values can match no later event. */
-  @transient private var horizon = Long.MinValue
+  /** The window clock and the input-order contract. */
+  @transient private var runClock = new RunClock(key)
   private var enumNs = 0L
   /** Enumeration cursor and MAX's candidate sink: built on first use, then reused. */
   @transient private lazy val cursor = new Enumerator
   @transient private lazy val maxSink = new ListSink
 
   def enumNanos: Long = enumNs
+  def clock: RunClock = runClock
   def activeStates: Int = t.size
 
   /** Test hook: the active union-lists in insertion order. */
@@ -81,14 +80,14 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
   def activeStateSetsForTest: Seq[List[Int]] = (0 until t.size).map(i => det.stateSet(t.state(i)).toList)
 
   /** The run state, encoded by [[RunState]]: no part of the plan. */
-  def snapshot(): Array[Byte] = RunState.encode(det, t, lastIdx, horizon)
+  def snapshot(): Array[Byte] = RunState.encode(det, t, runClock.lastIdx, runClock.start)
 
   /** Replaces the run state with a decoded [[snapshot]], which may come from
     * an engine whose plan numbered its det-states differently.
     */
   def restore(state: Array[Byte]): Unit = {
-    val (table, clock) = RunState.decode(det, state)
-    t = table; lastIdx = clock; horizon = Long.MinValue
+    val (table, lastIdx) = RunState.decode(det, state)
+    t = table; runClock.restore(lastIdx)
   }
 
   // Java serialization: the plan and key by default, the run state through the codec.
@@ -103,6 +102,7 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     val state = new Array[Byte](in.readInt())
     in.readFully(state)
     tNew = new StateTable
+    runClock = new RunClock(key)
     restore(state)
   }
 
@@ -110,7 +110,7 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     val j = ev.idx
     val now = window.clock(ev)
     val tau = now - window.epsilon
-    advance(j, tau)
+    runClock.advance(j, tau)
     val d = det
     val v = d.letter(ev)
 
@@ -135,17 +135,6 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
     done.clear(); t = tNew; tNew = done
 
     output(j, tau, sink)
-  }
-
-  /** Moves the window clock to position `j`, window start `tau`; rejects `j`
-    * if it is not after the last position, `tau` if it is before the last start.
-    */
-  private def advance(j: Long, tau: Long): Unit = {
-    if (j <= lastIdx && lastIdx != RunState.NoClock) throw new IllegalArgumentException(
-      s"out-of-order event for key '$key': idx $j is not after the key's last idx $lastIdx")
-    if (tau < horizon) throw new IllegalArgumentException(
-      s"out-of-order event for key '$key': idx $j moves the window start back from $horizon to $tau")
-    lastIdx = j; horizon = tau
   }
 
   /** ExecTrans (Algorithm 1 lines 13–20) for the packed step `s` of a state
@@ -209,26 +198,6 @@ final class CoreEngine(val plan: CompiledQuery, val key: String = "") extends St
   }
 }
 
-/** Runs one engine instance per partition-by key (§5.4): the stream is hashed
-  * on the PARTITION BY attributes' values ([[Engines.runKeyFn]]) and each
-  * substream gets its own run, named by its key rendered once
-  * ([[Engines.partKeyFn]]).
-  */
-final class PartitionedEngine(mk: String => StreamEngine, attrs: Seq[String]) extends StreamEngine {
-  private val runKey = Engines.runKeyFn(attrs)
-  private val partKey = Engines.partKeyFn(attrs)
-  private val engines = new java.util.HashMap[AnyRef, StreamEngine]()
-  def onEvent(ev: Ev, sink: MatchSink): Int = {
-    val k = runKey(ev)
-    var e = engines.get(k)
-    if (e == null) { e = mk(partKey(ev)); engines.put(k, e) }
-    e.onEvent(ev, sink)
-  }
-  def enumNanos: Long = { var n = 0L; engines.values().forEach(e => n += e.enumNanos); n }
-  /** Test hook: the number of runs held. */
-  def numRuns: Int = engines.size()
-}
-
 /** Engine factories. */
 object Engines {
 
@@ -254,7 +223,7 @@ object Engines {
     case _      => val keys = attrs.toList.map(Attr.key); ev => keys.map(_(ev))
   }
 
-  /** Build the CORE engine (with partition-by wrapper if the query has one).
+  /** Build the CORE engine: one run per PARTITION BY key in a [[RunTable]] if the query has one.
     * The compiled plan is shared across partitions, as in the paper.
     */
   def core(q: CeqlQuery, limit: Int = -1): StreamEngine = perKey(q, new CompiledQuery(q, limit).engine)
@@ -264,8 +233,8 @@ object Engines {
     perKey(q, new CompiledQuery(q, limit, Some(det)).engine)
 
   /** One run from `run` per PARTITION BY key of `q`, or a single run if it has none. */
-  def perKey(q: CeqlQuery, run: String => StreamEngine): StreamEngine =
-    if (q.partitionBy.nonEmpty) new PartitionedEngine(run, q.partitionBy) else run("")
+  def perKey[R <: KeyedRun](q: CeqlQuery, run: String => R): StreamEngine =
+    if (q.partitionBy.nonEmpty) new RunTable(q, run) else run("")
 
   /** Keep only set-inclusion-maximal complex events (MAX strategy filter). */
   def maximalOnly(ms: List[ComplexEvent]): List[ComplexEvent] = {

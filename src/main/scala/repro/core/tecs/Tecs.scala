@@ -160,7 +160,7 @@ object UnionList {
   /** `new-ulist(n)` — n must be non-union (§5.2). */
   def single(n: Node): UnionList = {
     require(!n.isInstanceOf[Union], "new-ulist requires a non-union node")
-    new UnionList(ArrayBuffer[Node](n))
+    new UnionList(new ArrayBuffer[Node](2) += n)
   }
   /** The union-list of `ns`, in order (decoding only); throws
     * `IllegalArgumentException` unless `ns` has a union-list's shape. */

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
-import repro.core.engine.{CompiledQuery, CoreEngine, Engines}
+import repro.core.engine.{CompiledQuery, RunTable}
 import repro.core.pred.Attr
 
 /** One recognized complex event, flattened for DataFrame output.
@@ -27,18 +27,16 @@ final case class MatchRow(partKey: String, start: Long, end: Long, data: String)
   *    a count window (or none), `ts, idx` under a time window. The scan's
   *    clock never falls, and a key's events are in stream order (under a
   *    time window, as long as the key's `ts` does not fall).
-  *  - Runs. One [[RunTable]] per partition holds a run per key, keyed on the
-  *    attribute values ([[Engines.runKeyFn]]) as in the single engine and
-  *    named by [[Engines.partKeyFn]], on a plan compiled once per task and
-  *    shared by all the partition's keys.
+  *  - Runs. One [[RunTable]] per partition holds a run per key, the single
+  *    engine's table, on a plan compiled once per task and shared by all the
+  *    partition's keys.
   *
-  * The table drops a run once the scan's window start has passed its last
+  * The scan drops a run once its window start has passed the run's last
   * event: every partial match of the run has expired by then. A dropped run
   * keeps no clock, so its key's order check lapses for the key's next event,
   * as after [[repro.core.engine.CoreEngine.restore]]; a key whose `ts` falls
   * within the window still fails the job. With no WITHIN clause nothing
-  * expires, and a partition keeps every key's run, as
-  * [[repro.core.engine.PartitionedEngine]] does.
+  * expires, and a partition keeps every key's run, as the single engine does.
   */
 object CoreBatch {
 
@@ -51,7 +49,7 @@ object CoreBatch {
       else events.repartition(q.partitionBy.map(Attr.column): _*)
     val clock = if (q.within.countBased) Seq(col("idx")) else Seq(col("ts"), col("idx"))
     placed.sortWithinPartitions(clock: _*).mapPartitions { it =>
-      new MatchRows(it, new RunTable(plan), () => ())
+      new MatchRows(it, new RunTable(q, plan.engine))
     }
   }
 
@@ -63,40 +61,4 @@ object CoreBatch {
     val cols = (1 to n).map(i => element_at(parts, i).cast("long").as(s"p$i"))
     matches.select(cols: _*)
   }
-}
-
-/** The runs of one clock-ordered scan ([[CoreBatch]]): `apply` gives each
-  * event the run of its PARTITION BY key, starting one for a key it does not
-  * hold.
-  *
-  * The scan's clock never falls, so the table keeps its runs in last-event
-  * order and, before each event, drops the oldest runs while their last clock
-  * is below the event's window start (clock − ε): `CoreEngine` skips every
-  * state whose latest start is below the window start, so such a run can
-  * match nothing again and a fresh run behaves the same. That is O(1)
-  * amortized per event and holds only the keys seen within the last ε.
-  */
-final class RunTable(plan: CompiledQuery) extends (Ev => CoreEngine) {
-  private final class Run(val engine: CoreEngine) { var last = 0L }
-
-  private val runKey = Engines.runKeyFn(plan.query.partitionBy)
-  private val partKey = Engines.partKeyFn(plan.query.partitionBy)
-  private val window = plan.query.within
-  /** Access-ordered: the least recently used run, the one with the lowest last clock, first. */
-  private val runs = new java.util.LinkedHashMap[AnyRef, Run](16, 0.75f, true)
-
-  def apply(ev: Ev): CoreEngine = {
-    val clock = window.clock(ev)
-    val start = clock - window.epsilon
-    val oldest = runs.values().iterator()
-    while (oldest.hasNext && oldest.next().last < start) oldest.remove()
-    val key = runKey(ev)
-    var run = runs.get(key)
-    if (run == null) { run = new Run(plan.engine(partKey(ev))); runs.put(key, run) }
-    run.last = clock
-    run.engine
-  }
-
-  /** Test hook: the number of runs held. */
-  def numRuns: Int = runs.size()
 }

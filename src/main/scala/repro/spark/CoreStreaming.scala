@@ -45,8 +45,7 @@ object CoreStreaming {
         (key: String, it: Iterator[Ev], state: GroupState[Array[Byte]]) =>
           val engine = plan.engine(key)
           state.getOption.foreach(engine.restore)
-          new MatchRows(key, engine, it.toArray.sortBy(_.idx).iterator,
-            () => state.update(engine.snapshot()))
+          new MatchRows(it.toArray.sortBy(_.idx).iterator, _ => engine, () => state.update(engine.snapshot()))
       }
   }
 }

@@ -7,21 +7,16 @@ import scala.collection.mutable.ArrayBuffer
 
 /** The match rows of `events` (in stream order), each event run by the run
   * `runOf` gives it and each row named by that run's key; shared by
-  * [[CoreBatch]] (a [[RunTable]] of every key of a partition) and
-  * [[CoreStreaming]] (one key's run).
+  * [[CoreBatch]] (the [[repro.core.engine.RunTable]] of a partition's scan)
+  * and [[CoreStreaming]] (one key's run).
   *
   * Runs one event at a time, when the rows of the previous one are used up,
   * and formats each row's `data` straight from the enumerator's position
   * buffer with one reused `StringBuilder`. `onExhausted` runs once, when the
   * last row has been read.
   */
-final class MatchRows(events: Iterator[Ev], runOf: Ev => CoreEngine, onExhausted: () => Unit)
+final class MatchRows(events: Iterator[Ev], runOf: Ev => CoreEngine, onExhausted: () => Unit = () => ())
     extends Iterator[MatchRow] with MatchSink {
-
-  /** The rows of one run, `engine`, whose key is `key`. */
-  def this(key: String, engine: CoreEngine, events: Iterator[Ev], onExhausted: () => Unit = () => ()) =
-    this(events, { require(engine.key == key, s"the run of key '${engine.key}' is not the run of '$key'"); (_: Ev) => engine },
-      onExhausted)
 
   private val rows = ArrayBuffer.empty[MatchRow]
   private var read = 0

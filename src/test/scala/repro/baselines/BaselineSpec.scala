@@ -80,6 +80,20 @@ class BaselineSpec extends AnyFunSuite {
     }
   }
 
+  test("under PARTITION BY name, every baseline names the key in both out-of-order messages") {
+    val q = query(Cel.seqOfTypes("A", "C"), TimeWindow(20), partitionBy = Seq("name"))
+    val engines = Seq[(String, CeqlQuery => repro.core.engine.StreamEngine)](
+      "sase" -> (Baselines.sase(_)), "esper" -> (Baselines.esper(_)), "flink" -> (Baselines.flink(_, limit = -1)))
+    for ((name, mk) <- engines) {
+      val e = mk(q)
+      Seq(Ev(0, 10, "A", "K", 0, 0), Ev(1, 10, "A", "L", 0, 0)).foreach(e.onEvent)
+      val repeated = intercept[IllegalArgumentException](e.onEvent(Ev(0, 12, "C", "K", 0, 0))).getMessage
+      assert(repeated.contains("for key 'K'") && repeated.contains("idx 0 is not after the last idx 0"), s"$name: $repeated")
+      val back = intercept[IllegalArgumentException](e.onEvent(Ev(2, 5, "C", "L", 0, 0))).getMessage
+      assert(back.contains("for key 'L'") && back.contains("idx 2 moves the window start back from -10 to -15"), s"$name: $back")
+    }
+  }
+
   test("property: SASE = brute force") {
     check(forAll(genCel(2), genStream, genWindow) { (f, evs, w) =>
       val q = query(f, w)

@@ -4,7 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Prop.forAll
 import repro.core.cel._
 import repro.core.ceql._
-import repro.core.engine.{BruteForce, CoreEngine, Engines, PartitionedEngine}
+import repro.core.engine.{BruteForce, CoreEngine, Engines, RunTable}
 import repro.core.pred.{NumCmp, StrEq}
 import repro.core.TestUtil._
 
@@ -270,7 +270,7 @@ class EngineSpec extends AnyFunSuite {
   test("partition-by keys on values: volume 0.0 and -0.0 are two runs, as their keys differ") {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
     val evs = Seq(Ev(0, 0, "A", "", 0, 0.0), Ev(1, 1, "B", "", 0, -0.0), Ev(2, 2, "B", "", 0, 0.0))
-    val e = Engines.core(q).asInstanceOf[PartitionedEngine]
+    val e = Engines.core(q).asInstanceOf[RunTable[_]]
     assert(runAll(e, evs) == List(ComplexEvent(0, 2, List(0, 2))))
     assert(e.numRuns == 2)
     assert(evs.map(Engines.partKeyFn(q.partitionBy)) == Seq("0.0", "-0.0", "0.0"))

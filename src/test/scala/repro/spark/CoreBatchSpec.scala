@@ -10,7 +10,7 @@ import repro.{Oracle, SparkSpec}
 import repro.core.Ev
 import repro.core.ceql._
 import repro.core.cel.{CAtom, Cel}
-import repro.core.engine.{CompiledQuery, Engines}
+import repro.core.engine.{CompiledQuery, Engines, RunTable}
 import repro.core.TestUtil.{check, genCel, genTimedStream, query, runAll}
 import repro.gen.StreamGen
 import repro.harness.Workloads
@@ -156,7 +156,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("property: a run table's scan of a stream in clock order gives exactly the single engine's rows") {
     check(forAll(genQuery(Seq("volume")), Gen.oneOf(-1, 10), genKeyed) { (q, limit, evs) =>
-      new MatchRows(evs.iterator, new RunTable(new CompiledQuery(q, limit)), () => ())
+      new MatchRows(evs.iterator, new RunTable(q, new CompiledQuery(q, limit).engine), () => ())
         .map(m => (m.partKey, m.start, m.end, m.data)).toSeq == singleRows(q, limit, evs)
     }, minTests = 1000)
   }
@@ -189,7 +189,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     // a fresh volume on every event: each key's run can be dropped 5 events later
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
     val evs = StreamGen.randomStream(200, Seq("A", "B"), noise = 1).map(ev => ev.copy(volume = ev.idx.toDouble))
-    val table = new RunTable(new CompiledQuery(q, -1))
+    val table = new RunTable(q, new CompiledQuery(q, -1).engine)
     var peak = 0
     val rows = new MatchRows(evs.iterator.map { ev => peak = math.max(peak, table.numRuns); ev }, table, () => ())
     assert(rows.isEmpty) // a key has one event: no match
@@ -199,7 +199,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("a scan's run table keys on values: volume 0.0 and -0.0 are two runs, whose rows carry their own keys") {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5), partitionBy = Seq("volume"))
     val evs = Seq(Ev(0, 0, "A", "", 0, 0.0), Ev(1, 1, "A", "", 0, -0.0), Ev(2, 2, "B", "", 0, -0.0), Ev(3, 3, "B", "", 0, 0.0))
-    val table = new RunTable(new CompiledQuery(q, -1))
+    val table = new RunTable(q, new CompiledQuery(q, -1).engine)
     val rows = new MatchRows(evs.iterator, table, () => ()).map(m => (m.partKey, m.start, m.end, m.data)).toList
     assert(rows == List(("-0.0", 1L, 2L, "1,2"), ("0.0", 0L, 3L, "0,3")))
     assert(table.numRuns == 2)

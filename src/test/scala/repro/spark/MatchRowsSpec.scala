@@ -18,6 +18,10 @@ class MatchRowsSpec extends AnyFunSuite {
 
   private def engine(q: CeqlQuery, limit: Int): CoreEngine = new CompiledQuery(q, limit).engine(key)
 
+  /** The rows of one run, `e`, over `evs`. */
+  private def rowsOf(e: CoreEngine, evs: Iterator[Ev], onExhausted: () => Unit = () => ()): MatchRows =
+    new MatchRows(evs, _ => e, onExhausted)
+
   private def row(ce: ComplexEvent): MatchRow = MatchRow(key, ce.start, ce.end, ce.data.mkString(","))
 
   /** Rows of the list path, per event. */
@@ -29,7 +33,7 @@ class MatchRowsSpec extends AnyFunSuite {
   /** Rows of one row iterator per event, all on one engine. */
   private def iteratorRowsPerEvent(q: CeqlQuery, limit: Int, evs: Seq[Ev]): Seq[List[MatchRow]] = {
     val e = engine(q, limit)
-    evs.map(ev => new MatchRows(key, e, Iterator.single(ev)).toList)
+    evs.map(ev => rowsOf(e, Iterator.single(ev)).toList)
   }
 
   private val genConfig: Gen[(Window, Strategy, Consume, Int)] = for {
@@ -44,7 +48,7 @@ class MatchRowsSpec extends AnyFunSuite {
       case (f, evs, (window, strategy, consume, limit)) =>
         val q = query(f, window, strategy, consume)
         val want = listRows(q, limit, evs)
-        val whole = new MatchRows(key, engine(q, limit), evs.iterator).toList
+        val whole = rowsOf(engine(q, limit), evs.iterator).toList
         val all = BruteForce.evaluate(q.copy(strategy = Strategy.All), evs).map(row)
         val exact = strategy != Strategy.Next && strategy != Strategy.Last &&
           consume == Consume.None && limit < 0
@@ -72,7 +76,7 @@ class MatchRowsSpec extends AnyFunSuite {
     val q = query(Cel.seqOfTypes(types: _*), CountWindow(2L * n))
     val evs = stream(types.head +: types.tail.flatMap(t => Seq(t, t)): _*)
     val limit = 10
-    val rows = new MatchRows(key, engine(q, limit), evs.iterator).toList
+    val rows = rowsOf(engine(q, limit), evs.iterator).toList
     assert(rows == listRows(q, limit, evs).flatten)
     assert(rows.size == 2 * limit && rows.distinct == rows)
     // T1 is at 0, Tk at 2k-3 or 2k-2.
@@ -86,7 +90,7 @@ class MatchRowsSpec extends AnyFunSuite {
   test("the state callback runs once, after the last row") {
     val q = query(Cel.seqOfTypes("A", "B"), CountWindow(10))
     var calls = 0
-    val rows = new MatchRows(key, engine(q, -1), stream("A", "A", "B").iterator, () => calls += 1)
+    val rows = rowsOf(engine(q, -1), stream("A", "A", "B").iterator, () => calls += 1)
     assert(rows.hasNext && calls == 0)
     assert(rows.toList.size == 2)
     assert(!rows.hasNext && calls == 1)
