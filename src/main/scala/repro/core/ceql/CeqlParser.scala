@@ -1,18 +1,20 @@
 package repro.core.ceql
 
 import repro.core.cel._
-import repro.core.pred.{Atom, NumCmp, StrEq}
+import repro.core.pred.{Atom, Attr, NumCmp, StrEq}
 import scala.collection.mutable.ArrayBuffer
 
 /** Hand-written recursive-descent parser for CEQL (§3 syntax, §2 examples,
   * appendix C stock queries). No external parser libraries are available
-  * offline; tokens are read by one regex.
+  * offline; tokens are read by one regex. Every attribute and operator is
+  * resolved as it is parsed ([[Attr.field]], the atoms' constructors), so an
+  * unknown one throws here, naming it.
   *
   * Grammar (keywords case-insensitive):
   * {{{
   * query  := SELECT [ALL|NEXT|LAST|MAX] ('*' | var (',' var)*) FROM id (',' id)*
   *           WHERE cel [PARTITION BY '[' id ']' (',' '[' id ']')*]
-  *           [WITHIN num (events|ms|seconds|minutes| '[' id ']')]
+  *           [WITHIN num (events|ms|seconds|minutes| '[' id ']')]   -- id: ts or stock_time
   *           [CONSUME BY (ANY|NONE)]
   * cel    := seq (FILTER fdisj)*
   * seq    := or (';' or)*
@@ -127,7 +129,8 @@ object CeqlParser {
       CeqlQuery(strategy, selectVars, streams.toSeq, where, partitionBy.toSeq, within, consume)
     }
 
-    private def bracketAttr(): String = { expectSym("["); val a = ident(); expectSym("]"); a }
+    /** `[attr]`, with `attr` resolved ([[Attr.field]]), which throws for an unknown one. */
+    private def bracketAttr(): String = { expectSym("["); val a = ident(); Attr.field(a); expectSym("]"); a }
 
     private def windowSpec(): Window = {
       val n = peek match {
@@ -135,7 +138,10 @@ object CeqlParser {
         case _             => fail("expected window size")
       }
       peek match {
-        case Some(TSym("[")) => pos += 1; ident(); expectSym("]"); TimeWindow(n.toLong)
+        case Some(TSym("[")) =>
+          val a = bracketAttr()
+          if (Attr.field(a) != Attr.Ts) fail(s"window attribute $a is not the timestamp (ts or stock_time)")
+          TimeWindow(n.toLong)
         case Some(TId(u)) =>
           pos += 1
           u.toLowerCase match {

@@ -206,10 +206,10 @@ object Engines {
     * have distinct keys; the constant `""` when there are none. It names a
     * run ([[CoreEngine.key]], `MatchRow.partKey`) and is rendered once per run.
     */
-  def partKeyFn(attrs: Seq[String]): Ev => String = attrs match {
-    case Seq()  => _ => ""
-    case Seq(a) => ev => Attr.str(ev, a)
-    case _      => ev => attrs.map(a => Attr.str(ev, a).replace("\\", "\\\\").replace("|", "\\|")).mkString("|")
+  def partKeyFn(attrs: Seq[String]): Ev => String = attrs.toList.map(Attr.field) match {
+    case Nil      => _ => ""
+    case f :: Nil => Attr.strAt(_, f)
+    case fs       => ev => fs.map(Attr.strAt(ev, _).replace("\\", "\\\\").replace("|", "\\|")).mkString("|")
   }
 
   /** The key runs are held under: the PARTITION BY attributes' values

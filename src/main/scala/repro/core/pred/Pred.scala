@@ -10,26 +10,27 @@ import scala.collection.mutable
   *
   * These are pure data — no closures — so compiled automata are serializable
   * and predicates can be interned and evaluated once per event into a bit
-  * vector (the §5.4 optimization).
+  * vector (the §5.4 optimization). Each atom resolves its attribute
+  * ([[Attr.field]]) and operator ([[Cmp.code]]) when it is constructed, so a
+  * bad one throws there, naming it; its one [[eval]] reads the resolved codes:
+  * a string operand makes it an equality on the attribute's [[Attr.strAt]]
+  * rendering, otherwise it compares the attribute's number. Atoms are equal,
+  * and interned, by their case-class fields.
   */
-sealed trait Atom extends Serializable {
-  def eval(ev: Ev): Boolean
+sealed abstract class Atom(field: Int, op: Int, num: Double, str: String) extends Serializable {
+  final def eval(ev: Ev): Boolean =
+    if (str ne null) Attr.strAt(ev, field) == str else Cmp.test(Attr.numAt(ev, field), op, num)
 }
 
 /** `t(type) = tpe` */
-final case class TypeIs(tpe: String) extends Atom {
-  def eval(ev: Ev): Boolean = ev.etype == tpe
-}
+final case class TypeIs(tpe: String) extends Atom(Attr.Type, 0, 0.0, tpe)
 
-/** String-attribute equality, e.g. `name = 'MSFT'`. */
-final case class StrEq(attr: String, value: String) extends Atom {
-  def eval(ev: Ev): Boolean = Attr.str(ev, attr) == value
-}
+/** String-attribute equality, e.g. `name = 'MSFT'`; a number compares by its `toString`. */
+final case class StrEq(attr: String, value: String) extends Atom(Attr.field(attr), 0, 0.0, value)
 
 /** Numeric comparison, e.g. `price > 26.0`. Ops: < <= > >= = != */
-final case class NumCmp(attr: String, op: String, value: Double) extends Atom {
-  def eval(ev: Ev): Boolean = Cmp.test(Attr.num(ev, attr), Cmp.code(op), value)
-}
+final case class NumCmp(attr: String, op: String, value: Double)
+    extends Atom(Attr.numField(attr), Cmp.code(op), value, null)
 
 /** The comparison operators of [[NumCmp]], as codes resolved once. */
 object Cmp {
@@ -55,37 +56,51 @@ object Cmp {
   }
 }
 
-/** Attribute access helpers shared by predicates and partition-by keys. */
+/** The attributes of an [[Ev]], each named once by its field code ([[field]]):
+  * predicates, partition-by keys and column lookups read the codes.
+  */
 object Attr {
-  final val Price = 0; final val Volume = 1; final val Ts = 2; final val Idx = 3
+  final val Name = 0; final val Type = 1; final val Price = 2; final val Volume = 3; final val Ts = 4; final val Idx = 5
 
-  /** The `Dataset[Ev]` column of `attr`, with the value [[str]] renders:
-    * positions and times become doubles, so events whose key strings are
-    * equal have equal columns and hash to the same Spark partition. */
-  def column(attr: String): Column = attr match {
-    case "name"               => col("name")
-    case "type"               => col("etype")
-    case "price" | "volume"   => col(attr)
-    case "ts" | "stock_time"  => col("ts").cast("double")
-    case "idx"                => col("idx").cast("double")
-    case other => throw new IllegalArgumentException(s"unknown attribute $other")
-  }
-  def str(ev: Ev, attr: String): String = attr match {
-    case "name"  => ev.name
-    case "type"  => ev.etype
-    case other   => num(ev, other).toString
-  }
-  def num(ev: Ev, attr: String): Double = numAt(ev, numField(attr))
-
-  /** The field code of a numeric attribute, for [[numAt]]. */
-  def numField(attr: String): Int = attr match {
+  /** The field code of `attr`; throws, naming it, for an attribute `Ev` lacks. */
+  def field(attr: String): Int = attr match {
+    case "name"              => Name
+    case "type"              => Type
     case "price"             => Price
     case "volume"            => Volume
     case "ts" | "stock_time" => Ts
     case "idx"               => Idx
-    case other => throw new IllegalArgumentException(s"unknown numeric attribute $other")
+    case other => throw new IllegalArgumentException(s"unknown attribute $other")
   }
-  def numAt(ev: Ev, field: Int): Double = (field: @switch) match {
+
+  /** [[field]] of a numeric attribute, for [[numAt]]. */
+  def numField(attr: String): Int = {
+    val f = field(attr)
+    if (f < Price) throw new IllegalArgumentException(s"attribute $attr is not numeric")
+    f
+  }
+
+  private val columns = Array("name", "etype", "price", "volume", "ts", "idx")
+
+  /** The `Dataset[Ev]` column of `attr`, with the value [[str]] renders:
+    * positions and times become doubles, so events whose key strings are
+    * equal have equal columns and hash to the same Spark partition. */
+  def column(attr: String): Column = {
+    val f = field(attr)
+    if (f >= Ts) col(columns(f)).cast("double") else col(columns(f))
+  }
+
+  def str(ev: Ev, attr: String): String = strAt(ev, field(attr))
+
+  /** Field `f` of `ev` as a string: the event's own string, or a number's `toString`. */
+  def strAt(ev: Ev, f: Int): String = (f: @switch) match {
+    case Name => ev.name
+    case Type => ev.etype
+    case _    => numAt(ev, f).toString
+  }
+
+  /** Numeric field `f` ([[numField]]) of `ev`. */
+  def numAt(ev: Ev, f: Int): Double = (f: @switch) match {
     case Price  => ev.price
     case Volume => ev.volume
     case Ts     => ev.ts.toDouble
@@ -97,12 +112,10 @@ object Attr {
     * equal keys exactly when their [[str]] renderings are equal: `0.0` and
     * `-0.0` differ, and every NaN is one key.
     */
-  def key(attr: String): Ev => AnyRef = attr match {
-    case "name" => _.name
-    case "type" => _.etype
-    case other  =>
-      val f = numField(other)
-      ev => java.lang.Long.valueOf(java.lang.Double.doubleToLongBits(numAt(ev, f)))
+  def key(attr: String): Ev => AnyRef = {
+    val f = field(attr)
+    if (f < Price) strAt(_, f)
+    else ev => java.lang.Long.valueOf(java.lang.Double.doubleToLongBits(numAt(ev, f)))
   }
 }
 
@@ -131,17 +144,13 @@ final case class PNot(p: PredExpr)           extends PredExpr
   * holds: one word up to 64 atoms, more beyond that.
   *
   * One registry per compiled query. The engine calls [[mask]] once per event
-  * (each atomic predicate evaluated exactly once — §5.4), through atoms whose
-  * attribute and operator were resolved on the first call after the last
-  * [[intern]].
+  * (each atomic predicate evaluated exactly once — §5.4).
   */
 final class AtomRegistry extends Serializable {
   private val atoms = mutable.ArrayBuffer.empty[Atom]
   private val index = mutable.HashMap.empty[Atom, Int]
-  @transient private var compiled: AtomRegistry.Compiled = null
 
-  def intern(a: Atom): Int =
-    index.getOrElseUpdate(a, { atoms += a; compiled = null; atoms.size - 1 })
+  def intern(a: Atom): Int = index.getOrElseUpdate(a, { atoms += a; atoms.size - 1 })
 
   def size: Int = atoms.size
 
@@ -152,9 +161,12 @@ final class AtomRegistry extends Serializable {
 
   /** Writes the mask of `ev` into `out`, which has [[words]] words, and returns it. */
   def mask(ev: Ev, out: Array[Long]): Array[Long] = {
-    var c = compiled
-    if (c == null) { c = new AtomRegistry.Compiled(atoms.toArray); compiled = c }
-    c.eval(ev, out)
+    java.util.Arrays.fill(out, 0L)
+    var i = 0
+    while (i < atoms.length) {
+      if (atoms(i).eval(ev)) out(i >>> 6) |= 1L << (i & 63)
+      i += 1
+    }
     out
   }
 
@@ -165,41 +177,4 @@ final class AtomRegistry extends Serializable {
 object AtomRegistry {
   /** Whether bit `i` of `mask` is set. */
   def has(mask: Array[Long], i: Int): Boolean = (mask(i >>> 6) & (1L << (i & 63))) != 0
-
-  private final val TypeK = 0
-  private final val NameK = 1
-  private final val NumK = 2
-  /** Anything else (a string compare of a number's rendering) runs the atom's own `eval`. */
-  private final val OtherK = 3
-
-  /** The atoms as parallel arrays: a kind and its operand per atom. */
-  private final class Compiled(atoms: Array[Atom]) {
-    private val kind = new Array[Int](atoms.length)
-    private val field = new Array[Int](atoms.length)
-    private val op = new Array[Int](atoms.length)
-    private val num = new Array[Double](atoms.length)
-    private val str = new Array[String](atoms.length)
-    for (i <- atoms.indices) atoms(i) match {
-      case TypeIs(t)            => kind(i) = TypeK; str(i) = t
-      case StrEq("type", v)     => kind(i) = TypeK; str(i) = v
-      case StrEq("name", v)     => kind(i) = NameK; str(i) = v
-      case NumCmp(a, o, v)      => kind(i) = NumK; field(i) = Attr.numField(a); op(i) = Cmp.code(o); num(i) = v
-      case _                    => kind(i) = OtherK
-    }
-
-    def eval(ev: Ev, out: Array[Long]): Unit = {
-      java.util.Arrays.fill(out, 0L)
-      var i = 0
-      while (i < atoms.length) {
-        val hit = (kind(i): @switch) match {
-          case TypeK => ev.etype == str(i)
-          case NameK => ev.name == str(i)
-          case NumK  => Cmp.test(Attr.numAt(ev, field(i)), op(i), num(i))
-          case _     => atoms(i).eval(ev)
-        }
-        if (hit) out(i >>> 6) |= 1L << (i & 63)
-        i += 1
-      }
-    }
-  }
 }

@@ -173,6 +173,21 @@ class ParserSpec extends AnyFunSuite {
   test("rejects string inequality") {
     assertThrows[IllegalArgumentException](parse("SELECT * FROM S WHERE A as x FILTER x[name < 'Z']"))
   }
+  test("a WITHIN attribute must be the timestamp") {
+    assert(parse("SELECT * FROM S WHERE A WITHIN 5 [ts]").within == TimeWindow(5))
+    val e = intercept[IllegalArgumentException](parse("SELECT * FROM S WHERE A WITHIN 5 [price]"))
+    assert(e.getMessage.contains("price"))
+  }
+  test("rejects unknown attributes and a number compared with a string attribute, naming the attribute") {
+    for ((query, attr) <- Seq(
+        "SELECT * FROM S WHERE A as x FILTER x[height > 1]"     -> "height",
+        "SELECT * FROM S WHERE A as x FILTER x[colour = 'red']" -> "colour",
+        "SELECT * FROM S WHERE A as x FILTER x[name > 1]"       -> "name",
+        "SELECT * FROM S WHERE A PARTITION BY [colour]"         -> "colour")) {
+      val e = intercept[IllegalArgumentException](parse(query))
+      assert(e.getMessage.contains(attr), query)
+    }
+  }
   test("rejects empty pattern") {
     assertThrows[IllegalArgumentException](parse("SELECT * FROM S WHERE"))
   }

@@ -109,6 +109,36 @@ class PredSpec extends AnyFunSuite {
     }, minTests = 200)
   }
 
+  /** What an atom means, read straight from `Ev`'s fields, apart from `Attr` and `Cmp`. */
+  private def reference(a: Atom, ev: Ev): Boolean = {
+    def num(attr: String): Double = attr match {
+      case "price"             => ev.price
+      case "volume"            => ev.volume
+      case "ts" | "stock_time" => ev.ts.toDouble
+      case "idx"               => ev.idx.toDouble
+    }
+    a match {
+      case TypeIs(t)        => ev.etype == t
+      case StrEq("type", v) => ev.etype == v
+      case StrEq("name", v) => ev.name == v
+      case StrEq(attr, v)   => num(attr).toString == v
+      case NumCmp(attr, op, v) =>
+        val x = num(attr)
+        op match {
+          case "<"  => x < v
+          case "<=" => x <= v
+          case ">"  => x > v
+          case ">=" => x >= v
+          case "="  => x == v
+          case "!=" => x != v
+        }
+    }
+  }
+
+  test("property: an atom's eval agrees with a reference read straight from the event's fields") {
+    check(forAll(genAtom, genEv)((a, ev) => a.eval(ev) == reference(a, ev)), minTests = 2000)
+  }
+
   test("each atomic predicate is evaluated once per event (registry size)") {
     // Query with the same predicate used twice still interns one atom.
     import repro.core.cel._
