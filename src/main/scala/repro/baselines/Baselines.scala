@@ -1,16 +1,17 @@
 package repro.baselines
 
 import repro.core.Ev
-import repro.core.cea.{Cea, CTrans, Compiler}
-import repro.core.ceql.{CeqlQuery, Consume, Window}
-import repro.core.engine.{Engines, KeyedRun, RunClock, StreamEngine}
-import repro.core.pred.AtomRegistry
+import repro.core.cea.{Cea, CTrans}
+import repro.core.ceql.{CeqlQuery, Consume}
+import repro.core.engine.{CompiledQuery, Engines, KeyedRun, RunClock, StreamEngine}
 import repro.core.tecs.MatchSink
 import scala.collection.mutable
 
 /** Baseline CER engines (§6 comparison systems), reproduced by their
-  * *partial-match maintenance strategy* over the same compiled CEA. They share
-  * this event loop and differ only in how they store partial matches:
+  * *partial-match maintenance strategy* over the same compiled CEA: each is a
+  * run under CORE's plan ([[CompiledQuery]]), whose query gives the window and
+  * the consumption policy and whose `limit` the output limit. They share this
+  * event loop and differ only in how they store partial matches:
   *
   *  - [[SaseEngine]]    — SASE: one explicit run object per partial match
   *    (skip-till-any-match NFA simulation); matches are materialized, so
@@ -29,22 +30,24 @@ import scala.collection.mutable
   * `key`: an event that breaks it is rejected before any state changes (a
   * baseline that pruned by a later window start would miss matches).
   *
-  * All evaluate the same nondeterministic CEA the CORE engine determinizes,
-  * so they recognize the same complex events (tests compare against
-  * CoreEngine and BruteForce). They emit one complex event per accepting run,
-  * though: on an ambiguous formula (`C OR C`) a complex event can repeat, and
-  * under a per-event limit the count can then differ from CORE's. No T1–T5
-  * query is ambiguous, and de-duplicating would add work to every output.
+  * All evaluate the nondeterministic CEA of the plan that the CORE engine
+  * determinizes, so they recognize the same complex events (tests compare
+  * against CoreEngine and BruteForce). The CEA and atom registry are read
+  * through the plan and never serialized: a baseline's Java form is the plan
+  * (query and limit), its clock and its partial matches. They emit one
+  * complex event per accepting run, though: on an ambiguous formula
+  * (`C OR C`) a complex event can repeat, and under a per-event limit the
+  * count can then differ from CORE's. No T1–T5 query is ambiguous, and
+  * de-duplicating would add work to every output.
   */
-private[baselines] abstract class NfaBase(
-    val cea: Cea, val reg: AtomRegistry, window: Window,
-    consume: Consume, limit: Int, key: String,
-) extends KeyedRun {
+private[baselines] abstract class NfaBase(plan: CompiledQuery, key: String) extends KeyedRun {
+  protected def cea: Cea = plan.det.cea
+
   private var enumNs = 0L
   def enumNanos: Long = enumNs
   val clock = new RunClock(key)
   /** The mask of the current event. */
-  @transient private lazy val mask = new Array[Long](reg.words)
+  @transient private lazy val mask = new Array[Long](plan.det.reg.words)
 
   /** Steps the stored runs and `fresh`, the run starting at `j`, over the
     * event at `j`; runs that started before `tau` may be dropped. */
@@ -55,10 +58,11 @@ private[baselines] abstract class NfaBase(
 
   final def onEvent(ev: Ev, sink: MatchSink): Int = {
     val j = ev.idx
+    val window = plan.query.within; val limit = plan.limit
     val now = window.clock(ev)
     val tau = now - window.epsilon
     clock.advance(j, tau)
-    advance(Run(cea.q0, j, now, Nil), reg.mask(ev, mask), j, tau)
+    advance(Run(cea.q0, j, now, Nil), plan.det.reg.mask(ev, mask), j, tau)
     val t0 = System.nanoTime()
     var n = 0
     var anyFinal = false
@@ -76,7 +80,7 @@ private[baselines] abstract class NfaBase(
       }
     }
     enumNs += System.nanoTime() - t0
-    if (consume == Consume.Any && anyFinal) clear()
+    if (plan.query.consume == Consume.Any && anyFinal) clear()
     n
   }
 
@@ -98,9 +102,8 @@ private[baselines] final case class Run(state: Int, startIdx: Long, startVal: Lo
 }
 
 /** SASE's and FlinkCEP's store: a run list, pruned of expired runs every `pruneEvery` events. */
-private[baselines] abstract class RunList(cea: Cea, reg: AtomRegistry, window: Window,
-                                          consume: Consume, limit: Int, key: String, pruneEvery: Int)
-    extends NfaBase(cea, reg, window, consume, limit, key) {
+private[baselines] abstract class RunList(plan: CompiledQuery, key: String, pruneEvery: Int)
+    extends NfaBase(plan, key) {
   private var runs = mutable.ArrayBuffer.empty[Run]
   private var sinceLastPrune = 0
   def numRuns: Int = runs.size
@@ -122,24 +125,20 @@ private[baselines] abstract class RunList(cea: Cea, reg: AtomRegistry, window: W
   }
 
   private def step(r: Run, mask: Array[Long], j: Long): Iterator[Run] =
-    cea.bySource(r.state).iterator.filter(_.pred.eval(mask)).map(r.step(_, j))
+    cea.bySource(r.state).iterator.filter(_.guard.eval(mask)).map(r.step(_, j))
 
   protected def candidates: Iterator[mutable.ArrayBuffer[Run]] = Iterator.single(runs)
   protected def clear(): Unit = runs.clear()
 }
 
 /** SASE-like: explicit run list, pruned every event. */
-final class SaseEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                       consume: Consume, limit: Int, key: String = "")
-    extends RunList(cea, reg, window, consume, limit, key, pruneEvery = 1)
+final class SaseEngine(plan: CompiledQuery, key: String = "") extends RunList(plan, key, pruneEvery = 1)
 
 /** Esper-like: partial matches bucketed per state; a transition's predicate is
   * evaluated once per bucket and applied to every match in it (delta-network
   * style propagation).
   */
-final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                        consume: Consume, limit: Int, key: String = "")
-    extends NfaBase(cea, reg, window, consume, limit, key) {
+final class EsperEngine(plan: CompiledQuery, key: String = "") extends NfaBase(plan, key) {
   private var buckets = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
   def numRuns: Int = buckets.valuesIterator.map(_.size).sum
 
@@ -147,9 +146,9 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
     val next = mutable.LinkedHashMap.empty[Int, mutable.ArrayBuffer[Run]]
     def put(state: Int, rs: Iterator[Run]): Unit =
       next.getOrElseUpdate(state, mutable.ArrayBuffer.empty[Run]) ++= rs
-    for (tr <- cea.bySource(cea.q0) if tr.pred.eval(mask))
+    for (tr <- cea.bySource(cea.q0) if tr.guard.eval(mask))
       put(tr.to, Iterator.single(fresh.step(tr, j)))
-    for ((state, b) <- buckets; tr <- cea.bySource(state) if tr.pred.eval(mask)) {
+    for ((state, b) <- buckets; tr <- cea.bySource(state) if tr.guard.eval(mask)) {
       val survivors = b.iterator.filter(_.startVal >= tau)
       put(tr.to, survivors.map(_.step(tr, j)))
     }
@@ -163,22 +162,17 @@ final class EsperEngine(cea: Cea, reg: AtomRegistry, window: Window,
 /** FlinkCEP-like: SASE's run list with expired runs dropped only every 64
   * events (watermark-style), so the live run set is larger than SASE's
   * between boundaries. */
-final class FlinkCepEngine(cea: Cea, reg: AtomRegistry, window: Window,
-                           consume: Consume, limit: Int, key: String = "")
-    extends RunList(cea, reg, window, consume, limit, key, pruneEvery = 64)
+final class FlinkCepEngine(plan: CompiledQuery, key: String = "") extends RunList(plan, key, pruneEvery = 64)
 
 /** Factories mirroring [[repro.core.engine.Engines.core]]. */
 object Baselines {
-  /** One run per PARTITION BY key, each given its key, on a CEA compiled once. */
-  private def build(q: CeqlQuery, mk: (Cea, AtomRegistry, String) => NfaBase): StreamEngine = {
-    val (cea, reg) = Compiler.compile(q.pattern)
-    Engines.perKey(q, mk(cea, reg, _))
+  /** One run per PARTITION BY key, each given its key, on one plan shared by all of them. */
+  private def build(q: CeqlQuery, limit: Int, mk: (CompiledQuery, String) => NfaBase): StreamEngine = {
+    val plan = new CompiledQuery(q, limit)
+    Engines.perKey(q, mk(plan, _))
   }
-  def sase(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, new SaseEngine(_, _, q.within, q.consume, limit, _))
-  def esper(q: CeqlQuery, limit: Int = -1): StreamEngine =
-    build(q, new EsperEngine(_, _, q.within, q.consume, limit, _))
+  def sase(q: CeqlQuery, limit: Int = -1): StreamEngine = build(q, limit, new SaseEngine(_, _))
+  def esper(q: CeqlQuery, limit: Int = -1): StreamEngine = build(q, limit, new EsperEngine(_, _))
   /** The paper only prints the first match for FlinkCEP (Fig 7 footnote). */
-  def flink(q: CeqlQuery, limit: Int = 1): StreamEngine =
-    build(q, new FlinkCepEngine(_, _, q.within, q.consume, limit, _))
+  def flink(q: CeqlQuery, limit: Int = 1): StreamEngine = build(q, limit, new FlinkCepEngine(_, _))
 }

@@ -4,10 +4,10 @@ import repro.core.cel._
 import repro.core.pred._
 import scala.collection.mutable.ArrayBuffer
 
-/** A transition of a valuation CEA (appendix A.1): predicate over interned
+/** A transition of a valuation CEA (appendix A.1): a guard over interned
   * atoms plus the set of variables the consumed event is bound to.
   */
-final case class VTrans(from: Int, pred: PredExpr, labels: Set[String], to: Int)
+final case class VTrans(from: Int, guard: Guard, labels: Set[String], to: Int)
 
 /** Valuation Complex Event Automaton: the intermediate automaton of the
   * appendix-A.1 construction (multiple initial states, label sets).
@@ -15,7 +15,7 @@ final case class VTrans(from: Int, pred: PredExpr, labels: Set[String], to: Int)
 final case class Vcea(nStates: Int, trans: Vector[VTrans], initials: Set[Int], finals: Set[Int])
 
 /** A transition of a CEA (§4): marking (`mark = true`, •) or not (∘). */
-final case class CTrans(from: Int, pred: PredExpr, mark: Boolean, to: Int)
+final case class CTrans(from: Int, guard: Guard, mark: Boolean, to: Int)
 
 /** Complex Event Automaton `(Q, Δ, q0, F)` (§4). `q0` has no incoming
   * transitions; a run may start at any stream position.
@@ -56,8 +56,7 @@ object Compiler {
     def go(f: Cel): (Vector[VTrans], Set[Int], Set[Int]) = f match {
       case CAtom(r) =>
         val q1 = b.fresh(); val q2 = b.fresh()
-        val p = PAtom(reg.intern(TypeIs(r)))
-        (Vector(VTrans(q1, p, Set(r), q2)), Set(q1), Set(q2))
+        (Vector(VTrans(q1, Guard.True and reg.intern(TypeIs(r)), Set(r), q2)), Set(q1), Set(q2))
 
       case CAs(inner, x) =>
         val (t, i, fl) = go(inner)
@@ -65,8 +64,8 @@ object Compiler {
 
       case CFilter(inner, x, atom) =>
         val (t, i, fl) = go(inner)
-        val p = PAtom(reg.intern(atom))
-        (t.map(tr => if (tr.labels.contains(x)) tr.copy(pred = PAnd(tr.pred, p)) else tr), i, fl)
+        val a = reg.intern(atom)
+        (t.map(tr => if (tr.labels.contains(x)) tr.copy(guard = tr.guard and a) else tr), i, fl)
 
       case COr(l, r) =>
         val (t1, i1, f1) = go(l); val (t2, i2, f2) = go(r)
@@ -74,7 +73,7 @@ object Compiler {
 
       case CSeq(l, r) =>
         val (t1, i1, f1) = go(l); val (t2, i2, f2) = go(r)
-        val skip    = i2.toVector.map(p => VTrans(p, PTrue, Set.empty, p))
+        val skip    = i2.toVector.map(p => VTrans(p, Guard.True, Set.empty, p))
         val bridges = for {
           tr <- t1 if f1.contains(tr.to)
           q  <- i2
@@ -88,7 +87,7 @@ object Compiler {
         val outOfHub = t.filter(tr => i.contains(tr.from)).map(_.copy(from = q))
         // An iteration of a single event takes the hub back to itself.
         val hubLoop  = t.filter(tr => i.contains(tr.from) && fl.contains(tr.to)).map(_.copy(from = q, to = q))
-        val hubSkip  = Vector(VTrans(q, PTrue, Set.empty, q))
+        val hubSkip  = Vector(VTrans(q, Guard.True, Set.empty, q))
         (t ++ intoHub ++ outOfHub ++ hubLoop ++ hubSkip, i, fl)
 
       case CProj(inner, keep) =>
@@ -114,7 +113,7 @@ object Compiler {
     */
   private def toCea(v: Vcea): Cea = {
     require(v.initials.size == 1)
-    Cea(v.nStates, v.trans.map(t => CTrans(t.from, t.pred, t.labels.nonEmpty, t.to)),
+    Cea(v.nStates, v.trans.map(t => CTrans(t.from, t.guard, t.labels.nonEmpty, t.to)),
         v.initials.head, v.finals)
   }
 }

@@ -102,7 +102,7 @@ final class Determinizer(val cea: Cea, val reg: AtomRegistry) {
     val v = java.util.Arrays.copyOfRange(masks, letter * words, (letter + 1) * words)
     val mark   = mutable.SortedSet.empty[Int]
     val unmark = mutable.SortedSet.empty[Int]
-    for (s <- states(p); tr <- cea.bySource(s) if tr.pred.eval(v))
+    for (s <- states(p); tr <- cea.bySource(s) if tr.guard.eval(v))
       (if (tr.mark) mark else unmark) += tr.to
     val qm = if (mark.isEmpty) -1 else intern(mark.toArray)
     val qu = if (unmark.isEmpty) -1 else intern(unmark.toArray)

@@ -6,7 +6,8 @@ import repro.core.ceql.CeqlQuery
 /** The plan of a query — CEA, atom registry and determinizer — compiled once
   * and shared by the runs of every PARTITION BY key, as in the paper (§5.4).
   * It is the only place a query is compiled and the only factory of
-  * [[CoreEngine]] runs.
+  * [[CoreEngine]] runs; the baselines (`repro.baselines`) run on it too, and
+  * read the CEA and registry through [[det]].
   *
   * Its Java form is the query and the output limit. The determinizer is built
   * on first use in each copy and never serialized, so each deserialized copy

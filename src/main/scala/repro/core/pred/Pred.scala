@@ -8,18 +8,26 @@ import scala.collection.mutable
 
 /** Atomic (unary) predicates over single events (§3 "Predicates").
   *
-  * These are pure data — no closures — so compiled automata are serializable
-  * and predicates can be interned and evaluated once per event into a bit
+  * These are pure data — no closures — so the queries that hold them are
+  * serializable and predicates can be interned and evaluated once per event into a bit
   * vector (the §5.4 optimization). Each atom resolves its attribute
   * ([[Attr.field]]) and operator ([[Cmp.code]]) when it is constructed, so a
   * bad one throws there, naming it; its one [[eval]] reads the resolved codes:
   * a string operand makes it an equality on the attribute's [[Attr.strAt]]
-  * rendering, otherwise it compares the attribute's number. Atoms are equal,
-  * and interned, by their case-class fields.
+  * rendering, otherwise it compares the attribute's number. Atoms are equal
+  * by their case-class fields, and interned by what they test ([[key]]).
+  * Their serial version is pinned: a query's Java form holds its FILTER atoms,
+  * and it does not change when a method is added here.
   */
+@SerialVersionUID(2614917852089240347L)
 sealed abstract class Atom(field: Int, op: Int, num: Double, str: String) extends Serializable {
   final def eval(ev: Ev): Boolean =
     if (str ne null) Attr.strAt(ev, field) == str else Cmp.test(Attr.numAt(ev, field), op, num)
+
+  /** The resolved field, operator and operand: atoms with equal keys test the
+    * same thing, as `TypeIs("SELL")` and `StrEq("type", "SELL")` do, or
+    * `NumCmp("ts", ">", 5)` and `NumCmp("stock_time", ">", 5)`. */
+  private[pred] final def key: (Int, Int, Double, String) = (field, op, num, str)
 }
 
 /** `t(type) = tpe` */
@@ -119,25 +127,28 @@ object Attr {
   }
 }
 
-/** Boolean combination over interned atom indices — the form CEA transitions
-  * carry, evaluated against an event's mask ([[AtomRegistry.mask]]).
+/** A CEA transition's guard: the interned atoms that must all hold, the one
+  * shape the compiler builds (an event type, conjoined with the FILTER atoms
+  * of its variables); no atoms is TRUE. It reads an event's mask
+  * ([[AtomRegistry.mask]]).
   */
-sealed trait PredExpr extends Serializable {
-  def eval(mask: Array[Long]): Boolean = this match {
-    case PTrue        => true
-    case PFalse       => false
-    case PAtom(i)     => AtomRegistry.has(mask, i)
-    case PAnd(l, r)   => l.eval(mask) && r.eval(mask)
-    case POr(l, r)    => l.eval(mask) || r.eval(mask)
-    case PNot(p)      => !p.eval(mask)
+final class Guard private (atoms: Array[Int]) {
+  /** This guard conjoined with atom `i`. */
+  def and(i: Int): Guard = if (atoms.contains(i)) this else new Guard(atoms :+ i)
+
+  def eval(mask: Array[Long]): Boolean = {
+    var k = 0
+    while (k < atoms.length) {
+      if (!AtomRegistry.has(mask, atoms(k))) return false
+      k += 1
+    }
+    true
   }
 }
-case object PTrue                            extends PredExpr
-case object PFalse                           extends PredExpr
-final case class PAtom(idx: Int)             extends PredExpr
-final case class PAnd(l: PredExpr, r: PredExpr) extends PredExpr
-final case class POr(l: PredExpr, r: PredExpr)  extends PredExpr
-final case class PNot(p: PredExpr)           extends PredExpr
+
+object Guard {
+  val True: Guard = new Guard(Array.emptyIntArray)
+}
 
 /** Interns atomic predicates to dense indices; evaluates each event into a
   * mask of [[words]] `Long`s, bit `i % 64` of word `i / 64` set when atom `i`
@@ -146,11 +157,12 @@ final case class PNot(p: PredExpr)           extends PredExpr
   * One registry per compiled query. The engine calls [[mask]] once per event
   * (each atomic predicate evaluated exactly once — §5.4).
   */
-final class AtomRegistry extends Serializable {
+final class AtomRegistry {
   private val atoms = mutable.ArrayBuffer.empty[Atom]
-  private val index = mutable.HashMap.empty[Atom, Int]
+  private val index = mutable.HashMap.empty[(Int, Int, Double, String), Int]
 
-  def intern(a: Atom): Int = index.getOrElseUpdate(a, { atoms += a; atoms.size - 1 })
+  /** The index of `a`, or of the atom interned before it that tests the same thing ([[Atom.key]]). */
+  def intern(a: Atom): Int = index.getOrElseUpdate(a.key, { atoms += a; atoms.size - 1 })
 
   def size: Int = atoms.size
 

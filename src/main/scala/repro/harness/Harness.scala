@@ -92,21 +92,20 @@ object Harness {
   }
 
   /** Peak partial-match state, measured as the serialized engine size (KB),
-    * sampled every `sampleEvery` events. At laptop scale the paper's
+    * sampled every 1000 events. At laptop scale the paper's
     * JVM-heap measurement is dominated by the preloaded stream, so this
     * proxy isolates exactly what Fig 7 (bottom-right) is about: how much
     * each system stores to remember partial matches. CORE's serialized form is
-    * its query and its run-state codec bytes; a baseline's is its compiled CEA
-    * and its partial matches.
+    * its query and its run-state codec bytes; a baseline's is its query and
+    * its partial matches (neither serializes its compiled CEA or atom registry).
     */
-  def statePeakKB(engine: StreamEngine, stream: Iterator[Ev],
-                  events: Long, sampleEvery: Long = 1000): Double = {
+  def statePeakKB(engine: StreamEngine, stream: Iterator[Ev], events: Long): Double = {
     var n = 0L
     var peak = 0
     while (n < events && stream.hasNext) {
       engine.onEvent(stream.next(), discard)
       n += 1
-      if (n % sampleEvery == 0) {
+      if (n % 1000 == 0) {
         val bos = new java.io.ByteArrayOutputStream()
         val oos = new java.io.ObjectOutputStream(bos)
         oos.writeObject(engine); oos.close()

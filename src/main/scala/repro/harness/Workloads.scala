@@ -35,20 +35,20 @@ object Workloads {
   def seqTypes(n: Int): Seq[String] = (1 to n).map(i => s"A$i")
 
   /** K3 := A1;A2+;A3 and K5 := A1;A2+;A3;A4+;A5 (Fig 9 left). */
-  def kleeneQuery(n: Int, window: Long, consume: Consume = Consume.Any): CeqlQuery = {
+  def kleeneQuery(n: Int, window: Long): CeqlQuery = {
     require(n == 3 || n == 5)
     val parts: Seq[Cel] = (1 to n).map(i => if (i % 2 == 0) CPlus(CAtom(s"A$i")) else CAtom(s"A$i"))
     CeqlQuery(Strategy.All, None, Seq("RandomStream"), Cel.seq(parts: _*), Nil,
-      CountWindow(window), consume)
+      CountWindow(window), Consume.Any)
   }
 
   /** D3 := A1;(A2 OR A2');A3 and D5 analogously (Fig 9 left). */
-  def disjQuery(n: Int, window: Long, consume: Consume = Consume.Any): CeqlQuery = {
+  def disjQuery(n: Int, window: Long): CeqlQuery = {
     require(n == 3 || n == 5)
     val parts: Seq[Cel] = (1 to n).map(i =>
       if (i % 2 == 0) COr(CAtom(s"A$i"), CAtom(s"A$i'")) else CAtom(s"A$i"))
     CeqlQuery(Strategy.All, None, Seq("RandomStream"), Cel.seq(parts: _*), Nil,
-      CountWindow(window), consume)
+      CountWindow(window), Consume.Any)
   }
 
   def disjTypes(n: Int): Seq[String] =

@@ -1,7 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.Dataset
+import org.apache.spark.sql.functions.col
 import repro.core.Ev
 import repro.core.ceql.CeqlQuery
 import repro.core.engine.{CompiledQuery, RunTable}
@@ -51,14 +51,5 @@ object CoreBatch {
     placed.sortWithinPartitions(clock: _*).mapPartitions { it =>
       new MatchRows(it, new RunTable(q, plan.engine))
     }
-  }
-
-  /** Expand `data` ("p1,p2,...,pn") into long columns p1..pn — the shape the
-    * DuckDB oracle joins produce for fixed-length patterns.
-    */
-  def positionsAsCols(matches: Dataset[MatchRow], n: Int): DataFrame = {
-    val parts = split(col("data"), ",")
-    val cols = (1 to n).map(i => element_at(parts, i).cast("long").as(s"p$i"))
-    matches.select(cols: _*)
   }
 }

@@ -54,7 +54,4 @@ object SparkStreams {
       (((rand(seed + 3) * nVolumes).cast(IntegerType) + 1) * 100).cast(DoubleType) as "volume",
     ).as[Ev]
   }
-
-  /** Events as a plain DataFrame with all-scalar columns, for the oracle. */
-  def asTable(events: Dataset[Ev]) = events.toDF()
 }

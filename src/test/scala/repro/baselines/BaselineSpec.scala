@@ -5,7 +5,7 @@ import org.scalacheck.Prop.forAll
 import repro.core._
 import repro.core.cel._
 import repro.core.ceql._
-import repro.core.engine.{BruteForce, Engines}
+import repro.core.engine.{BruteForce, CompiledQuery, Engines, StreamEngine}
 import repro.core.TestUtil._
 
 /** The three baseline engines must recognize exactly the same complex events
@@ -126,14 +126,31 @@ class BaselineSpec extends AnyFunSuite {
   test("SASE run count grows super-linearly with window on partial-match-heavy streams") {
     // A1 A2 only (no A3): partial matches accumulate within the window.
     val evs = repro.gen.StreamGen.randomStream(3000, Seq("A1", "A2"), noise = 6)
-    val (cea, reg) = repro.core.cea.Compiler.compile(Cel.seqOfTypes("A1", "A2", "A3"))
     def runsAfter(window: Long): Int = {
-      val e = new SaseEngine(cea, reg, CountWindow(window), Consume.Any, 10)
+      val q = query(Cel.seqOfTypes("A1", "A2", "A3"), CountWindow(window), consume = Consume.Any)
+      val e = new SaseEngine(new CompiledQuery(q, 10))
       evs.foreach(e.onEvent)
       e.numRuns
     }
     val r50 = runsAfter(50); val r200 = runsAfter(200)
     assert(r200 > 3 * r50, s"expected super-linear growth, got $r50 -> $r200")
+  }
+
+  test("no engine's Java form carries its compiled automaton") {
+    val q = query(Cel.seqOfTypes("A", "B"), CountWindow(5))
+    val engines = Seq[(String, () => StreamEngine)](
+      "core" -> (() => Engines.core(q)), "sase" -> (() => Baselines.sase(q)),
+      "esper" -> (() => Baselines.esper(q)), "flink" -> (() => Baselines.flink(q)))
+    for ((name, mk) <- engines; fed <- Seq(0, 4)) {
+      val e = mk()
+      stream("A", "C", "A", "B").take(fed).foreach(e.onEvent)
+      val bos = new java.io.ByteArrayOutputStream()
+      val oos = new java.io.ObjectOutputStream(bos)
+      oos.writeObject(e); oos.close()
+      val javaForm = new String(bos.toByteArray, "ISO-8859-1")
+      val carried = Seq("repro.core.cea.CTrans", "AtomRegistry").filter(javaForm.contains)
+      assert(carried.isEmpty, s"$name after $fed events")
+    }
   }
 
   test("CORE active state count is window-independent on the same stream") {

@@ -47,14 +47,14 @@ class CompilerSpec extends AnyFunSuite {
     val (cea, reg) = Compiler.compile(CAtom("A"))
     val ev = stream("A").head
     val bits = reg.mask(ev)
-    assert(cea.trans.filter(_.from == cea.q0).forall(t => t.pred.eval(bits) && t.mark))
+    assert(cea.trans.filter(_.from == cea.q0).forall(t => t.guard.eval(bits) && t.mark))
   }
 
   test("filter conjoins onto marking transitions of the variable") {
     val f = CFilter(CAs(CAtom("A"), "x"), "x", NumCmp("price", ">", 5.0))
     val (cea, reg) = Compiler.compile(f)
     val cheap = stream("A").head // price 0
-    assert(cea.trans.filter(_.from == cea.q0).forall(t => !t.pred.eval(reg.mask(cheap))))
+    assert(cea.trans.filter(_.from == cea.q0).forall(t => !t.guard.eval(reg.mask(cheap))))
   }
 
   test("projection unmarks dropped variables") {

@@ -69,13 +69,13 @@ class PredSpec extends AnyFunSuite {
   }
 
   test("PredExpr evaluation over bit vectors") {
-    val bits = BitSet(0, 2).toBitMask
-    assert(PAtom(0).eval(bits) && !PAtom(1).eval(bits))
-    assert(PAnd(PAtom(0), PAtom(2)).eval(bits))
-    assert(!PAnd(PAtom(0), PAtom(1)).eval(bits))
-    assert(POr(PAtom(1), PAtom(2)).eval(bits))
-    assert(PNot(PAtom(1)).eval(bits))
-    assert(PTrue.eval(bits) && !PFalse.eval(bits))
+    // A guard is the AND of its atoms; the empty guard is TRUE.
+    val bits = BitSet(0, 2, 70).toBitMask
+    def guard(atoms: Int*) = atoms.foldLeft(Guard.True)(_ and _)
+    assert(guard(0).eval(bits) && !guard(1).eval(bits))
+    assert(guard(0, 2).eval(bits) && guard(2, 70).eval(bits) && guard(0, 0).eval(bits))
+    assert(!guard(0, 1).eval(bits) && !guard(1, 2).eval(bits) && !guard(0, 2, 71).eval(bits))
+    assert(Guard.True.eval(bits) && Guard.True.eval(new Array[Long](1)))
   }
 
   private val genEv: Gen[Ev] = for {
@@ -146,6 +146,19 @@ class PredSpec extends AnyFunSuite {
       "x", NumCmp("price", ">", 1.0))
     val (_, reg) = repro.core.cea.Compiler.compile(f)
     assert(reg.size == 2) // TypeIs(A) + one NumCmp
+  }
+
+  test("an atom written twice, as the type or under the other name of ts, is interned once and matches as before") {
+    import repro.core.ceql.CeqlParser
+    val evs = (0 until 12).map(i => Ev(i, 2 * i, if (i % 3 == 0) "BUY" else "SELL", "", 0, 0))
+    for ((filter, atoms) <- Seq("x[type = 'SELL']" -> 1, "x[ts > 5] AND x[stock_time > 5]" -> 2)) {
+      val q = CeqlParser.parse(s"SELECT * FROM S WHERE SELL as x FILTER $filter WITHIN 4 events")
+      val (_, reg) = repro.core.cea.Compiler.compile(q.pattern)
+      assert(reg.size == atoms, filter)
+      val got = runAll(repro.core.engine.Engines.core(q), evs).toSet
+      assert(got.nonEmpty && got == repro.core.engine.BruteForce.evaluate(q, evs), filter)
+      assert(got == CelSemantics.eval(q.pattern, evs, q.within), filter)
+    }
   }
 
   test("ComplexEvent canonical constructor sorts data") {

@@ -25,7 +25,7 @@ object BruteForce {
             out += ComplexEvent.of(stream(start).idx, stream(k - 1).idx, marked)
         }
         if (k < stream.length) {
-          for (tr <- cea.bySource(state) if tr.pred.eval(masks(k))) {
+          for (tr <- cea.bySource(state) if tr.guard.eval(masks(k))) {
             dfs(tr.to, k + 1, if (tr.mark) stream(k).idx :: marked else marked)
           }
         }

@@ -30,7 +30,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("Q2 (sequence + filters, time window) matches DuckDB") {
     val q = Workloads.stockQuery("Q2")
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
     val sql = SqlOracle.sequenceSql(
       Seq(
         AtomSpec(Seq("SELL"), Seq(StrEq("name", "MSFT"), NumCmp("price", ">", 26.0))),
@@ -44,7 +44,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("Q4 (disjunction) matches DuckDB") {
     val q = Workloads.stockQuery("Q4")
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
     val sql = SqlOracle.sequenceSql(
       Seq(
         AtomSpec(Seq("SELL"), Seq(StrEq("name", "MSFT"))),
@@ -58,7 +58,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("Q3 without consumption (partition-by) matches DuckDB") {
     val q = Workloads.stockQuery("Q3").copy(consume = Consume.None)
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(stockDs, q), 4)
     val sql = SqlOracle.sequenceSql(
       Seq(
         AtomSpec(Seq("SELL"), Seq(StrEq("name", "MSFT"))),
@@ -74,7 +74,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val evs = StreamGen.randomStream(300, Seq("A1", "A2", "A3"))
     val ds = SparkStreams.fromArray(spark, evs)
     val q = Workloads.seqQuery(3, 20, consume = Consume.None)
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(ds, q), 3)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(ds, q), 3)
     val sql = SqlOracle.sequenceSql(
       Seq(AtomSpec(Seq("A1")), AtomSpec(Seq("A2")), AtomSpec(Seq("A3"))),
       countEps = Some(20L), timeEps = None)
@@ -87,7 +87,7 @@ class CoreBatchSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val q = repro.core.ceql.CeqlParser.parse(
       """SELECT * FROM S WHERE (SELL as a; BUY as b)
          PARTITION BY [name], [volume] WITHIN 60000 [stock_time]""")
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(ds, q), 2)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(ds, q), 2)
     val sql = SqlOracle.sequenceSql(
       Seq(AtomSpec(Seq("SELL")), AtomSpec(Seq("BUY"))),
       countEps = None, timeEps = Some(60000L), partitionBy = Seq("name", "volume"))

@@ -42,7 +42,7 @@ class SparkStreamsSpec extends SparkSpec {
   }
 
   test("asTable exposes the six scalar columns the oracle expects") {
-    val df = SparkStreams.asTable(SparkStreams.stockStream(spark, 10))
+    val df = SqlOracle.asTable(SparkStreams.stockStream(spark, 10))
     assert(df.columns.toSet == Set("idx", "ts", "etype", "name", "price", "volume"))
   }
 
@@ -71,7 +71,7 @@ class SparkStreamsSpec extends SparkSpec {
       ).as[repro.core.Ev]
     val q = repro.core.ceql.CeqlParser.parse(
       "SELECT * FROM Orders WHERE O as a; P as b FILTER a[price > 250000] WITHIN 20 events")
-    val got = CoreBatch.positionsAsCols(CoreBatch.evaluate(events, q), 2)
+    val got = SqlOracle.positionsAsCols(CoreBatch.evaluate(events, q), 2)
     val sql = SqlOracle.sequenceSql(
       Seq(SqlOracle.AtomSpec(Seq("O"), Seq(SqlOracle.NumCmp("price", ">", 250000))),
           SqlOracle.AtomSpec(Seq("P"))),

@@ -1,5 +1,9 @@
 package repro.spark
 
+import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.functions.{col, element_at, split}
+import repro.core.Ev
+
 /** Builds DuckDB SQL equivalent to a *fixed-length* CEQL pattern
   * (sequence of atoms/disjunctions with per-variable filters, a window, and
   * optional PARTITION BY): under skip-till-any-match, such a query is exactly
@@ -23,6 +27,18 @@ object SqlOracle {
     * plus the filters on the variable bound at this position.
     */
   final case class AtomSpec(types: Seq[String], conds: Seq[Cond] = Nil)
+
+  /** Events as a plain DataFrame with all-scalar columns, for the oracle. */
+  def asTable(events: Dataset[Ev]): DataFrame = events.toDF()
+
+  /** Expand `data` ("p1,p2,...,pn") into long columns p1..pn — the shape the
+    * oracle's joins produce for fixed-length patterns.
+    */
+  def positionsAsCols(matches: Dataset[MatchRow], n: Int): DataFrame = {
+    val parts = split(col("data"), ",")
+    val cols = (1 to n).map(i => element_at(parts, i).cast("long").as(s"p$i"))
+    matches.select(cols: _*)
+  }
 
   /** SQL over a table `events(idx, ts, etype, name, price, volume)` returning
     * columns p1..pn = matched positions.
